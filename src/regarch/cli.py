@@ -19,9 +19,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import logging
 import sys
 from datetime import date
@@ -36,7 +33,9 @@ from .data import (
     daily_log_returns,
     load_daily_prices,
     load_ticks,
+    write_csv,
     write_daily_csv,
+    write_json,
     write_ticks_csv,
 )
 from .exceptions import (
@@ -52,9 +51,8 @@ from .mcmc import MODEL_NORMAL, MODEL_RATIONAL, ChainConfig, run_chain
 from .realized import (
     NoiseModel,
     SignatureCurve,
-    hl_factor,
+    hl_adjusted_rv,
     rmspe,
-    rv_from_ticks,
     scale_to_daily_variance,
     write_rv_csv,
     write_signature_csv,
@@ -207,55 +205,19 @@ def build_parser():
     return parser
 
 
-_INVOCATION_KEYS = {
-    "fit": ("model", "data", "burn_in", "samples", "adapt_interval", "nu", "seed"),
-    "compare": (
-        "data",
-        "burn_in",
-        "samples",
-        "adapt_interval",
-        "nu",
-        "paper_literal_aic",
-        "seed",
-    ),
-    "rv": ("ticks", "calendar", "data", "delta_list", "seed"),
-    "rmspe": (
-        "data",
-        "ticks",
-        "calendar",
-        "delta_list",
-        "burn_in",
-        "samples",
-        "adapt_interval",
-        "nu",
-        "paper_literal_rmspe",
-        "rv_as_vols",
-        "seed",
-    ),
-    "simulate": (
-        "days",
-        "steps_per_day",
-        "model",
-        "omega",
-        "alpha",
-        "beta",
-        "a",
-        "day_variance",
-        "rho2",
-        "overnight_fraction",
-        "start_price",
-        "start_date",
-        "calendar",
-        "seed",
-    ),
-}
+_NOT_RECORDED = ("command", "func", "out_dir")
 
 
 def _invocation(args):
-    """Resolved configuration recorded in every artifact."""
+    """Resolved configuration recorded in every artifact.
+
+    Every option of the subcommand, in the order the parser defines them,
+    except the output directory, which does not change any artifact.
+    """
     out = {"command": args.command}
-    for key in _INVOCATION_KEYS[args.command]:
-        value = getattr(args, key)
+    for key, value in vars(args).items():
+        if key in _NOT_RECORDED:
+            continue
         if isinstance(value, date):
             value = value.isoformat()
         out[key] = value
@@ -271,12 +233,6 @@ def _comment_lines(invocation):
             value = ",".join(f"{v:g}" for v in value)
         lines.append(f"{key.replace('_', '-')} = {value}")
     return lines
-
-
-def _write_json(path, payload):
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _out_dir(args):
@@ -328,15 +284,7 @@ def _load_returns(path):
 def cmd_fit(args):
     returns = _load_returns(args.data)
     chain = run_chain(args.model, returns, _chain_config(args))
-    invocation = _invocation(args)
-    out = _out_dir(args)
-
-    chain_path = out / f"chain_{args.model}.csv"
-    chain.export_samples_csv(chain_path, comments=_comment_lines(invocation))
-    summary = chain.summary_dict()
-    summary["invocation"] = invocation
-    summary_path = out / f"summary_{args.model}.json"
-    _write_json(summary_path, summary)
+    chain_path, summary_path = _export_chain(chain, _out_dir(args), _invocation(args))
 
     _print_fit(chain)
     print(f"wrote {chain_path}")
@@ -351,12 +299,15 @@ def _fit_both(args, returns):
     return chains
 
 
-def _export_chain(chain, args, out, invocation):
+def _export_chain(chain, out, invocation):
+    """Write the chain CSV and summary JSON of one fit; return both paths."""
     chain_path = out / f"chain_{chain.model}.csv"
     chain.export_samples_csv(chain_path, comments=_comment_lines(invocation))
     summary = chain.summary_dict()
     summary["invocation"] = invocation
-    _write_json(out / f"summary_{chain.model}.json", summary)
+    summary_path = out / f"summary_{chain.model}.json"
+    write_json(summary_path, summary)
+    return chain_path, summary_path
 
 
 def cmd_compare(args):
@@ -369,11 +320,11 @@ def cmd_compare(args):
     invocation = _invocation(args)
     out = _out_dir(args)
     for model in _MODELS:
-        _export_chain(chains[model], args, out, invocation)
+        _export_chain(chains[model], out, invocation)
     payload = report.as_dict()
     payload["invocation"] = invocation
     comparison_path = out / "comparison.json"
-    _write_json(comparison_path, payload)
+    write_json(comparison_path, payload)
 
     for model in _MODELS:
         _print_fit(chains[model])
@@ -422,30 +373,18 @@ def cmd_rv(args):
     comments = _comment_lines(invocation)
     out = _out_dir(args)
 
-    avg, factors = [], []
-    for delta in args.delta_list:
-        rv = rv_from_ticks(ticks, calendar, delta)
-        c = hl_factor(returns, rv)
-        avg.append(float(rv.values.mean()))
-        factors.append(c)
-        rv_path = out / f"rv_{_fmt_delta(delta)}s.csv"
-        write_rv_csv(rv.with_hl(c), rv_path, comments=comments)
+    series = hl_adjusted_rv(ticks, calendar, args.delta_list, returns)
+    for rv in series:
+        rv_path = out / f"rv_{_fmt_delta(rv.delta_seconds)}s.csv"
+        write_rv_csv(rv, rv_path, comments=comments)
         print(f"wrote {rv_path}")
-    curve = SignatureCurve(
-        np.array(args.delta_list), np.array(avg), np.array(factors)
-    )
+    curve = SignatureCurve.from_rv(series)
     signature_path = out / "signature.csv"
     write_signature_csv(curve, signature_path, comments=comments)
-
     hl_path = out / "hl.csv"
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta_seconds", "hl_factor"])
-    for delta, c in zip(curve.deltas, curve.hl_factors):
-        writer.writerow([repr(float(delta)), repr(float(c))])
-    hl_path.write_text(buf.getvalue(), encoding="utf-8")
+    write_csv(
+        hl_path, ("delta_seconds", "hl_factor"), (curve.deltas, curve.hl_factors), comments
+    )
 
     print("delta_seconds  avg_rv        hl_factor")
     for delta, v, c in zip(curve.deltas, curve.avg_rv, curve.hl_factors):
@@ -469,7 +408,7 @@ def cmd_rmspe(args):
     else:
         chains = _fit_both(args, returns)
         for model in _MODELS:
-            _export_chain(chains[model], args, out, invocation)
+            _export_chain(chains[model], out, invocation)
             _print_fit(chains[model])
             print()
         columns = [f"rmspe_{m.replace('-', '_')}" for m in _MODELS]
@@ -481,10 +420,7 @@ def cmd_rmspe(args):
         }
 
     rows = []
-    for delta in args.delta_list:
-        rv = rv_from_ticks(ticks, calendar, delta)
-        c = hl_factor(returns, rv)
-        adjusted = rv.with_hl(c)
+    for adjusted in hl_adjusted_rv(ticks, calendar, args.delta_list, returns):
         if args.rv_as_vols:
             forecast = VolSeries(adjusted.dates, adjusted.c_adjusted())
             errors = [rmspe(forecast, adjusted, mean_normalized=mean_normalized)]
@@ -493,23 +429,14 @@ def cmd_rmspe(args):
                 rmspe(scaled[m], adjusted, mean_normalized=mean_normalized)
                 for m in _MODELS
             ]
-        rows.append((delta, c, errors))
+        rows.append([adjusted.delta_seconds, adjusted.hl_factor] + errors)
 
     rmspe_path = out / "rmspe.csv"
-    buf = io.StringIO()
-    for line in _comment_lines(invocation):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta_seconds", "hl_factor"] + columns)
-    for delta, c, errors in rows:
-        writer.writerow(
-            [repr(float(delta)), repr(float(c))] + [repr(float(e)) for e in errors]
-        )
-    rmspe_path.write_text(buf.getvalue(), encoding="utf-8")
-
     header = ["delta_seconds", "hl_factor"] + columns
+    write_csv(rmspe_path, header, list(zip(*rows)), _comment_lines(invocation))
+
     print("  ".join(header))
-    for delta, c, errors in rows:
+    for delta, c, *errors in rows:
         cells = [f"{_fmt_delta(delta):>13}", f"{c:9.4f}"]
         cells += [f"{e:.6f}" for e in errors]
         print("  ".join(cells))
@@ -548,21 +475,12 @@ def cmd_simulate(args):
     write_ticks_csv(sim.ticks, ticks_path, comments=comments)
 
     truth_path = out / "truth.csv"
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "integrated_variance", "total_variance", "true_return"])
-    for i, day in enumerate(sim.dates):
-        writer.writerow(
-            [
-                day.isoformat(),
-                repr(float(sim.session_variances[i])),
-                repr(float(sim.total_variances[i])),
-                repr(float(sim.true_daily_returns[i])),
-            ]
-        )
-    truth_path.write_text(buf.getvalue(), encoding="utf-8")
+    write_csv(
+        truth_path,
+        ("date", "integrated_variance", "total_variance", "true_return"),
+        (sim.dates, sim.session_variances, sim.total_variances, sim.true_daily_returns),
+        comments,
+    )
 
     print(
         f"simulated {args.days} trading days, {len(sim.ticks)} ticks "

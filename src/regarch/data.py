@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
@@ -371,24 +372,23 @@ def daily_closes_from_ticks(ticks, calendar):
 def _session_grid_us(open_us, close_us, delta_us):
     """Grid instants in integer microseconds for one session.
 
-    The grid is open + k*delta for k = 0..floor(length/delta).  A session
-    shorter than delta degenerates to the [open, close] pair so that it
-    still contributes one return.
+    The grid is open + k*delta for every such instant before the close,
+    then the close, so each session is covered to its end.  When delta
+    does not divide the session its last interval is shorter; a session
+    shorter than delta gives the one [open, close] return.
     """
-    n = (close_us - open_us) // delta_us
-    if n < 1:
-        return np.array([open_us, close_us], dtype=np.int64)
-    return open_us + delta_us * np.arange(n + 1, dtype=np.int64)
+    return np.append(np.arange(open_us, close_us, delta_us, dtype=np.int64), close_us)
 
 
 def resample_grid(ticks, calendar, delta_seconds):
     """Previous-tick log prices on uniform session grids.
 
     For each trading day between the first and last tick, each session is
-    sampled at instants open + k*delta.  The price at an instant is the
-    last tick at or before it (carried across days when a session opens
-    before the day's first tick).  Days without any tick, or before the
-    first tick ever, are skipped and reported in ``skipped_days``.
+    sampled at instants open + k*delta before its close, and at the close.
+    The price at an instant is the last tick at or before it (carried
+    across days when a session opens before the day's first tick).  Days
+    without any tick, or before the first tick ever, are skipped and
+    reported in ``skipped_days``.
     """
     if not np.isfinite(delta_seconds) or delta_seconds <= 0:
         raise DomainError("delta_seconds must be positive")
@@ -463,32 +463,78 @@ def intraday_returns(grid):
     return out
 
 
-def _write_text(target, text):
+_CSV_CHUNK_ROWS = 1024
+
+
+@contextmanager
+def _text_target(target):
+    """A text stream writing to ``target``: a path (opened here) or a stream."""
     if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
+        with open(target, "w", encoding="utf-8") as stream:
+            yield stream
     else:
-        target.write(text)
+        yield target
+
+
+def _iso_timestamps(values):
+    return np.datetime_as_string(values, unit="us").tolist()
+
+
+def _iso_dates(values):
+    return [d.isoformat() for d in values]
+
+
+def _float_reprs(values):
+    return list(map(repr, values.tolist()))
+
+
+def _csv_column(values):
+    """(values, formatter) for one column of :func:`write_csv`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "M":
+        return values, _iso_timestamps
+    if len(values) and isinstance(values[0], date):
+        return values, _iso_dates
+    return np.asarray(values, dtype=np.float64), _float_reprs
+
+
+def write_csv(target, header, columns, comments=()):
+    """Emit ``# comment`` lines, a header row, then one row per column entry.
+
+    ``target`` is a path or a text stream.  ``columns`` holds one sequence
+    per header name: ``datetime64`` arrays are written as ISO timestamps
+    to the microsecond, dates as ISO dates, anything else as floats in
+    their shortest round-trip ``repr``.  No cell needs quoting, so none is
+    quoted.  Rows are formatted a bounded chunk at a time, so the whole
+    file is never held in memory.
+    """
+    columns = [_csv_column(values) for values in columns]
+    n = len(columns[0][0]) if columns else 0
+    if len(columns) != len(header) or any(len(v) != n for v, _ in columns):
+        raise ValidationError("CSV needs one equal-length column per header name")
+    with _text_target(target) as stream:
+        stream.write("".join(f"# {line}\n" for line in comments))
+        stream.write(",".join(header) + "\n")
+        for lo in range(0, n, _CSV_CHUNK_ROWS):
+            cells = [fmt(values[lo : lo + _CSV_CHUNK_ROWS]) for values, fmt in columns]
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def json_text(payload):
+    """``payload`` as indented, key-sorted JSON with a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(target, payload):
+    """Write :func:`json_text` of ``payload`` to a path or a text stream."""
+    with _text_target(target) as stream:
+        stream.write(json_text(payload))
 
 
 def write_daily_csv(prices, target, comments=()):
     """Emit ``date,close`` rows loadable by :func:`load_daily_prices`."""
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "close"])
-    for d, close in zip(prices.dates, prices.closes):
-        writer.writerow([d.isoformat(), repr(float(close))])
-    _write_text(target, buf.getvalue())
+    write_csv(target, ("date", "close"), (prices.dates, prices.closes), comments)
 
 
 def write_ticks_csv(ticks, target, comments=()):
     """Emit ``timestamp,price`` rows loadable by :func:`load_ticks`."""
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["timestamp", "price"])
-    for t, price in zip(ticks.times, ticks.prices):
-        writer.writerow([str(t), repr(float(price))])
-    _write_text(target, buf.getvalue())
+    write_csv(target, ("timestamp", "price"), (ticks.times, ticks.prices), comments)

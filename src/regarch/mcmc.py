@@ -15,20 +15,17 @@ over.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import json
 import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
+from .data import write_csv, write_json
 from .exceptions import (
     AdaptationFailureError,
     DomainError,
@@ -362,24 +359,10 @@ class PosteriorChain:
         }
 
     def export_summary_json(self, target):
-        _write_text(target, json.dumps(self.summary_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(target, self.summary_dict())
 
     def export_samples_csv(self, target, comments=()):
-        buf = io.StringIO()
-        for line in comments:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.param_names)
-        for row in self.samples:
-            writer.writerow([repr(float(v)) for v in row])
-        _write_text(target, buf.getvalue())
-
-
-def _write_text(target, text):
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+        write_csv(target, self.param_names, self.samples.T, comments)
 
 
 def data_digest(returns):

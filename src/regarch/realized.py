@@ -15,12 +15,9 @@ percentage error.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +26,7 @@ from .data import (
     daily_log_returns,
     intraday_returns,
     resample_grid,
+    write_csv,
 )
 from .exceptions import DomainError, InsufficientDataError, ValidationError
 from .garch import VolSeries
@@ -99,6 +97,15 @@ class SignatureCurve:
         if not (self.deltas.shape == self.avg_rv.shape == self.hl_factors.shape):
             raise ValidationError("signature columns must have equal lengths")
 
+    @classmethod
+    def from_rv(cls, series):
+        """Curve of HL-adjusted :class:`RvSeries`, one per sampling period."""
+        return cls(
+            np.array([rv.delta_seconds for rv in series]),
+            np.array([float(rv.values.mean()) for rv in series]),
+            np.array([rv.hl_factor for rv in series]),
+        )
+
 
 def realized_variance(day_returns):
     """Sum of squared intraday returns; an empty day contributes 0."""
@@ -148,23 +155,27 @@ def hl_factor(daily_returns, rv):
     return float(centered @ centered) / denom
 
 
+def hl_adjusted_rv(ticks, calendar, deltas, daily_returns):
+    """One :class:`RvSeries` per sampling period, each with its HL factor."""
+    deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise DomainError("need at least one sampling period")
+    series = []
+    for delta in deltas:
+        rv = rv_from_ticks(ticks, calendar, delta)
+        series.append(rv.with_hl(hl_factor(daily_returns, rv)))
+    return series
+
+
 def signature_curve(ticks, calendar, deltas, daily_returns=None):
     """Average RV and c for each sampling period in ``deltas``.
 
     Daily returns default to close-to-close returns of the last tick of
     each day, so a bare tick file is enough.
     """
-    deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise DomainError("need at least one sampling period")
     if daily_returns is None:
         daily_returns = daily_log_returns(daily_closes_from_ticks(ticks, calendar))
-    avg, factors = [], []
-    for delta in deltas:
-        rv = rv_from_ticks(ticks, calendar, delta)
-        avg.append(float(rv.values.mean()))
-        factors.append(hl_factor(daily_returns, rv))
-    return SignatureCurve(np.array(deltas), np.array(avg), np.array(factors))
+    return SignatureCurve.from_rv(hl_adjusted_rv(ticks, calendar, deltas, daily_returns))
 
 
 def scale_to_daily_variance(model_vols, daily_returns):
@@ -209,33 +220,21 @@ def rmspe(scaled_model_vols, adjusted_rv, mean_normalized=True):
     return math.sqrt(total)
 
 
-def _write_text(target, text):
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
-
-
 def write_rv_csv(rv, target, comments=()):
     """Emit ``date,rv,c_adjusted_rv`` rows (c taken as 1 when absent)."""
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "rv", "c_adjusted_rv"])
-    adjusted = rv.c_adjusted()
-    for d, v, cv in zip(rv.dates, rv.values, adjusted):
-        writer.writerow([d.isoformat(), repr(float(v)), repr(float(cv))])
-    _write_text(target, buf.getvalue())
+    write_csv(
+        target,
+        ("date", "rv", "c_adjusted_rv"),
+        (rv.dates, rv.values, rv.c_adjusted()),
+        comments,
+    )
 
 
 def write_signature_csv(curve, target, comments=()):
     """Emit ``delta_seconds,avg_rv,hl_factor`` rows."""
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta_seconds", "avg_rv", "hl_factor"])
-    for d, v, c in zip(curve.deltas, curve.avg_rv, curve.hl_factors):
-        writer.writerow([repr(float(d)), repr(float(v)), repr(float(c))])
-    _write_text(target, buf.getvalue())
+    write_csv(
+        target,
+        ("delta_seconds", "avg_rv", "hl_factor"),
+        (curve.deltas, curve.avg_rv, curve.hl_factors),
+        comments,
+    )

@@ -9,9 +9,9 @@ its effective-parameter reading is p_D = 2 [ln L(theta_bar) - E(ln L)].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .data import json_text
 from .exceptions import DomainError, ValidationError
 
 AIC_STANDARD = "standard"
@@ -102,7 +102,7 @@ class ComparisonReport:
         }
 
     def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.as_dict())
 
 
 def compare(first, second):

@@ -78,6 +78,76 @@ class TestParsing:
         assert code == 2
 
 
+# For one argv of each subcommand: the recorded configuration, in order, and
+# the CSV comment lines made from it.  The output directory is not recorded.
+_INVOCATION_GOLDEN = {
+    "fit": (
+        ["fit", "--model", "garch-re", "--data", "d.csv", "--samples", "900",
+         "--nu", "7.5", "--seed", "4", "--out-dir", "fits"],
+        [("command", "fit"), ("model", "garch-re"), ("data", "d.csv"),
+         ("burn_in", 6000), ("samples", 900), ("adapt_interval", 500),
+         ("nu", 7.5), ("seed", 4)],
+        ["regarch fit", "model = garch-re", "data = d.csv", "burn-in = 6000",
+         "samples = 900", "adapt-interval = 500", "nu = 7.5", "seed = 4"],
+    ),
+    "compare": (
+        ["compare", "--data", "d.csv", "--paper-literal-aic", "--burn-in", "800",
+         "--out-dir", "fits"],
+        [("command", "compare"), ("data", "d.csv"), ("burn_in", 800),
+         ("samples", 50000), ("adapt_interval", 500), ("nu", 10.0),
+         ("paper_literal_aic", True), ("seed", 0)],
+        ["regarch compare", "data = d.csv", "burn-in = 800", "samples = 50000",
+         "adapt-interval = 500", "nu = 10.0", "paper-literal-aic = True",
+         "seed = 0"],
+    ),
+    "rv": (
+        ["rv", "--ticks", "t.csv", "--delta-list", "60,1800,3600", "--out-dir", "rv"],
+        [("command", "rv"), ("ticks", "t.csv"), ("calendar", None), ("data", None),
+         ("delta_list", [60.0, 1800.0, 3600.0]), ("seed", 0)],
+        ["regarch rv", "ticks = t.csv", "calendar = None", "data = None",
+         "delta-list = 60,1800,3600", "seed = 0"],
+    ),
+    "rmspe": (
+        ["rmspe", "--data", "d.csv", "--ticks", "t.csv", "--calendar", "cal.json",
+         "--rv-as-vols", "--adapt-interval", "250", "--seed", "9"],
+        [("command", "rmspe"), ("data", "d.csv"), ("ticks", "t.csv"),
+         ("calendar", "cal.json"),
+         ("delta_list", [30.0, 60.0, 300.0, 900.0, 1800.0, 3600.0]),
+         ("burn_in", 6000), ("samples", 50000), ("adapt_interval", 250),
+         ("nu", 10.0), ("paper_literal_rmspe", False), ("rv_as_vols", True),
+         ("seed", 9)],
+        ["regarch rmspe", "data = d.csv", "ticks = t.csv", "calendar = cal.json",
+         "delta-list = 30,60,300,900,1800,3600", "burn-in = 6000",
+         "samples = 50000", "adapt-interval = 250", "nu = 10.0",
+         "paper-literal-rmspe = False", "rv-as-vols = True", "seed = 9"],
+    ),
+    "simulate": (
+        ["simulate", "--days", "30", "--model", "garch-re", "--rho2", "5e-7",
+         "--day-variance", "0.0001", "--start-date", "2007-03-01", "--seed", "2",
+         "--out-dir", "m"],
+        [("command", "simulate"), ("days", 30), ("steps_per_day", 390),
+         ("model", "garch-re"), ("omega", 1e-05), ("alpha", 0.1), ("beta", 0.85),
+         ("a", 2.0), ("day_variance", 0.0001), ("rho2", 5e-07),
+         ("overnight_fraction", 0.0), ("start_price", 2500.0),
+         ("start_date", "2007-03-01"), ("calendar", None), ("seed", 2)],
+        ["regarch simulate", "days = 30", "steps-per-day = 390",
+         "model = garch-re", "omega = 1e-05", "alpha = 0.1", "beta = 0.85",
+         "a = 2.0", "day-variance = 0.0001", "rho2 = 5e-07",
+         "overnight-fraction = 0.0", "start-price = 2500.0",
+         "start-date = 2007-03-01", "calendar = None", "seed = 2"],
+    ),
+}
+
+
+class TestInvocationRecord:
+    @pytest.mark.parametrize("command", sorted(_INVOCATION_GOLDEN))
+    def test_golden_record(self, command):
+        argv, items, lines = _INVOCATION_GOLDEN[command]
+        invocation = cli._invocation(cli.build_parser().parse_args(argv))
+        assert list(invocation.items()) == items
+        assert cli._comment_lines(invocation) == lines
+
+
 class TestSimulate:
     def test_artifacts(self, market):
         for name in ("daily.csv", "ticks.csv", "truth.csv"):

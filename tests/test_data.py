@@ -1,10 +1,12 @@
+import csv
 import io
 import json
-from datetime import date, datetime, time
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
 
+from regarch import data
 from regarch.data import (
     DailyPriceSeries,
     SessionCalendar,
@@ -15,6 +17,7 @@ from regarch.data import (
     load_daily_prices,
     load_ticks,
     resample_grid,
+    write_csv,
 )
 from regarch.exceptions import (
     DomainError,
@@ -212,6 +215,15 @@ class TestResampling:
         assert a.shape[0] == 121  # 2 h at 60 s
         assert b.shape[0] == 151  # 2.5 h at 60 s
 
+    def test_grid_ends_at_session_close(self):
+        cal = SessionCalendar.tokyo()
+        rows = [("2006-06-05T08:00:00", 100.0), ("2006-06-05T14:45:00", 110.0)]
+        grid = resample_grid(_make_ticks(rows), cal, 3600.0)
+        a, b = grid.days[0].session_log_prices
+        np.testing.assert_allclose(a, np.log([100.0] * 3))  # 09:00, 10:00, 11:00
+        # 12:30, 13:30, 14:30, then the close at 15:00 sees the 14:45 tick
+        np.testing.assert_allclose(b, np.log([100.0, 100.0, 100.0, 110.0]))
+
     def test_session_shorter_than_delta_gives_one_return(self):
         cal = SessionCalendar.tokyo()
         rows = [("2006-06-05T08:00:00", 100.0), ("2006-06-05T15:30:00", 101.0)]
@@ -302,3 +314,71 @@ class TestDailyClosesFromTicks:
         series = daily_closes_from_ticks(ticks, cal)
         assert series.dates == (date(2006, 6, 5), date(2006, 6, 12))
         np.testing.assert_allclose(series.closes, [104.0, 106.0])
+
+
+def _reference_cell(value):
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, np.datetime64):
+        return str(value)
+    return repr(float(value))
+
+
+def _reference_csv(header, columns, comments=()):
+    """The same file written row by row with ``csv.writer``."""
+    buf = io.StringIO()
+    for line in comments:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([_reference_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def _columns(n):
+    rng = np.random.default_rng(n)
+    dates = tuple(date(2006, 1, 2) + timedelta(days=i) for i in range(n))
+    times = np.datetime64("2006-01-02T09:00:00.000001", "us") + np.arange(
+        n
+    ) * np.timedelta64(1_234_567, "us")
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    values[:4] = [np.nan, np.inf, -0.0, 1e-5]
+    return dates, times, values, [float(v) for v in range(n)]
+
+
+_HEADER = ("date", "timestamp", "value", "index")
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries_match_reference(self, offset):
+        columns = _columns(data._CSV_CHUNK_ROWS + offset)
+        buf = io.StringIO()
+        write_csv(buf, _HEADER, columns, comments=("a = 1", "b = x,y"))
+        assert buf.getvalue() == _reference_csv(_HEADER, columns, ("a = 1", "b = x,y"))
+
+    def test_short_file_matches_reference(self):
+        columns = _columns(5)
+        buf = io.StringIO()
+        write_csv(buf, _HEADER, columns)
+        assert buf.getvalue() == _reference_csv(_HEADER, columns)
+
+    def test_no_rows(self):
+        buf = io.StringIO()
+        write_csv(buf, ("date", "close"), ((), []), comments=("x",))
+        assert buf.getvalue() == "# x\ndate,close\n"
+
+    def test_path_and_stream_give_same_bytes(self, tmp_path):
+        columns = _columns(2 * data._CSV_CHUNK_ROWS + 1)
+        path = tmp_path / "out.csv"
+        write_csv(path, _HEADER, columns, comments=("seed = 3",))
+        buf = io.StringIO()
+        write_csv(buf, _HEADER, columns, comments=("seed = 3",))
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValidationError):
+            write_csv(io.StringIO(), ("a", "b"), ([1.0, 2.0], [1.0]))
+        with pytest.raises(ValidationError):
+            write_csv(io.StringIO(), ("a", "b"), ([1.0],))

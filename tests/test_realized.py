@@ -21,6 +21,7 @@ from regarch.realized import (
     NoiseModel,
     RvSeries,
     SignatureCurve,
+    hl_adjusted_rv,
     hl_factor,
     realized_variance,
     rmspe,
@@ -136,6 +137,18 @@ class TestRvFromTicks:
         rv = rv_from_ticks(_ticks(rows), _CAL, 60.0)
         assert rv.dates == _dates(2)
         assert (rv.values > 0).all()
+
+    def test_late_move_in_short_last_interval(self):
+        # at 3600 s the Tokyo afternoon grid is 12:30, 13:30, 14:30, 15:00:
+        # a move at 14:45 falls in the last, half-hour return
+        day = date(2006, 6, 5)
+        rows = [
+            (datetime.combine(day, time(8, 0)), 100.0),
+            (datetime.combine(day, time(14, 45)), 110.0),
+        ]
+        rv = rv_from_ticks(_ticks(rows), SessionCalendar.tokyo(), 3600.0)
+        assert rv.dates == (day,)
+        assert rv.values[0] == pytest.approx(math.log(1.1) ** 2, rel=1e-12)
 
     def test_weekend_only_ticks(self):
         sat = date(2006, 1, 7)
@@ -330,6 +343,20 @@ class TestSignatureCurve:
     def test_empty_deltas(self):
         with pytest.raises(DomainError, match="at least one sampling period"):
             signature_curve(_three_day_ticks(), _CAL, [])
+
+    def test_curve_is_built_from_hl_adjusted_series(self):
+        ticks = _three_day_ticks()
+        ret = daily_log_returns(daily_closes_from_ticks(ticks, _CAL))
+        series = hl_adjusted_rv(ticks, _CAL, [60, 120.0], ret)
+        for rv, delta in zip(series, (60.0, 120.0)):
+            plain = rv_from_ticks(ticks, _CAL, delta)
+            assert rv.delta_seconds == delta
+            np.testing.assert_array_equal(rv.values, plain.values)
+            assert rv.hl_factor == hl_factor(ret, plain)
+        curve = SignatureCurve.from_rv(series)
+        assert curve.deltas.tolist() == [60.0, 120.0]
+        assert curve.avg_rv.tolist() == [float(rv.values.mean()) for rv in series]
+        assert curve.hl_factors.tolist() == [rv.hl_factor for rv in series]
 
     def test_column_length_mismatch(self):
         with pytest.raises(ValidationError):

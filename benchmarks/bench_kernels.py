@@ -4,7 +4,7 @@ Runs the variance recursion and both likelihood kernels over a grid of
 series lengths, timing three implementations:
 
   compiled   regarch.recursions (Cython extension)
-  fallback   regarch.recursions_python (vectorized lfilter)
+  fallback   regarch.recursions_python (float-loop recursion, NumPy terms)
   loop       a naive pure-Python reference loop
 
 and checks that compiled and fallback agree bit for bit on every case.

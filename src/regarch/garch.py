@@ -198,3 +198,31 @@ def log_likelihood(params, returns, init_variance=None):
     if bad >= 0:
         raise NumericalError("non-finite likelihood term", index=int(bad))
     return float(ll)
+
+
+def log_likelihoods(thetas, law, returns, init_variance=None):
+    """Log-likelihood at each row of ``thetas``, one parameter vector per row
+    in the order of :meth:`GarchParams.to_vector` for ``law``.
+
+    Each row equals :func:`log_likelihood` at that point, bit for bit; a row
+    at which it would raise (a parameter that is not positive and finite, a
+    variance or likelihood term outside the finite range) scores -inf.
+    """
+    init = _resolve_init(returns, init_variance)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    values = np.ascontiguousarray(returns.values, dtype=np.float64)
+    out = np.full(thetas.shape[0], -math.inf)
+    valid = (np.isfinite(thetas) & (thetas > 0.0)).all(axis=1)
+    if HAS_COMPILED_KERNELS:
+        # the extension scores one point per call
+        kernel = _kernels.rational_loglik if law == RATIONAL else _kernels.normal_loglik
+        scores = [kernel(*row, values, init) for row in thetas[valid].tolist()]
+        out[valid] = [ll if bad < 0 else -math.inf for ll, bad in scores]
+    else:
+        block = (
+            _kernels.rational_loglik_block
+            if law == RATIONAL
+            else _kernels.normal_loglik_block
+        )
+        out[valid] = block(*np.ascontiguousarray(thetas[valid].T), values, init)
+    return out

@@ -1,6 +1,9 @@
 """Adaptive independence Metropolis-Hastings for GARCH posteriors.
 
-Proposals are multivariate Student's t, independent of the current state.
+Proposals are multivariate Student's t, independent of the current state,
+so all candidates of a block with a fixed proposal are drawn and scored
+before an accept pass that only compares numbers.  The draws keep the
+per-step order of a one-at-a-time sampler, so a seed gives the same chain.
 During burn-in the proposal's location and scale are refitted every
 ``adapt_interval`` draws to the sample mean and covariance of the chain so
 far; after burn-in the proposal is frozen, which keeps the retained chain a
@@ -22,6 +25,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
@@ -34,7 +38,7 @@ from .exceptions import (
     NumericalError,
     ValidationError,
 )
-from .garch import NORMAL, RATIONAL, GarchParams, log_likelihood
+from .garch import NORMAL, RATIONAL, GarchParams, log_likelihood, log_likelihoods
 from .rational import UNIMODAL_MIN_A
 
 logger = logging.getLogger(__name__)
@@ -49,6 +53,11 @@ _LAW_FOR_MODEL = {MODEL_NORMAL: NORMAL, MODEL_RATIONAL: RATIONAL}
 _TAU_WINDOW_FACTOR = 5.0
 _TAU_MAX_LAG = 10_000
 
+# frozen-phase MH steps scored per block
+_FROZEN_BLOCK = 2000
+
+_PARAM_NAMES = ("omega", "alpha", "beta", "a")
+
 
 @dataclass
 class Prior:
@@ -62,12 +71,14 @@ class Prior:
     upper: dict[str, float] = field(default_factory=dict)
 
     def log_density(self, params):
-        for name, value in zip(params.names, params.to_vector()):
-            lo = self.lower.get(name, 0.0)
-            hi = self.upper.get(name, math.inf)
-            if not math.isfinite(value) or not lo < value < hi:
-                return -math.inf
-        return 0.0
+        inside = self.contains(params.to_vector()[None], params.names)[0]
+        return 0.0 if inside else -math.inf
+
+    def contains(self, thetas, names):
+        """Mask of the rows of ``thetas`` (parameters ``names``) in the box."""
+        lo = np.array([self.lower.get(name, 0.0) for name in names])
+        hi = np.array([self.upper.get(name, math.inf) for name in names])
+        return (np.isfinite(thetas) & (lo < thetas) & (thetas < hi)).all(axis=1)
 
 
 def log_posterior(params, returns, prior=None, init_variance=None):
@@ -115,17 +126,21 @@ class StudentTProposal:
         return self.scale * self.dof / (self.dof - 2.0)
 
     def log_density(self, x):
-        z = np.linalg.solve(self._chol, np.asarray(x, dtype=np.float64) - self.location)
-        m = float(z @ z)
-        return float(
-            self._log_norm
-            - 0.5 * (self.dof + self.dim) * math.log1p(m / self.dof)
-        )
+        """Log density at a point (d,) or at each row of a block (m, d)."""
+        r = np.asarray(x, dtype=np.float64) - self.location
+        z = solve_triangular(self._chol, r.T, lower=True, check_finite=False)
+        m = (z * z).sum(axis=0)
+        out = self._log_norm - 0.5 * (self.dof + self.dim) * np.log1p(m / self.dof)
+        return out if out.ndim else float(out)
 
     def sample(self, rng):
-        z = rng.standard_normal(self.dim)
-        w = rng.chisquare(self.dof)
-        return self.location + (self._chol @ z) * math.sqrt(self.dof / w)
+        return self.transform(rng.standard_normal(self.dim), rng.chisquare(self.dof))
+
+    def transform(self, z, w):
+        """Draws from standard normal vectors ``z`` (d,) or (m, d) and
+        chi-square(dof) variates ``w``."""
+        scaled = np.matmul(self._chol, z[..., None])[..., 0]
+        return self.location + scaled * np.sqrt(self.dof / w)[..., None]
 
 
 def adapt_proposal(history, dof):
@@ -155,31 +170,35 @@ def adapt_proposal(history, dof):
     raise NumericalError("proposal covariance is not repairable")
 
 
-@dataclass
+@dataclass(slots=True)
 class MhState:
+    """A scored point: log target and proposal log density at ``position``."""
+
     position: np.ndarray
     log_target: float
+    log_proposal: float
+    log_likelihood: float = math.nan
 
 
-def mh_step(state, proposal, log_target, rng):
-    """One independence MH transition; returns (new_state, accepted)."""
-    candidate = proposal.sample(rng)
-    u = rng.random()
-    lt_candidate = log_target(candidate)
-    if lt_candidate == -math.inf:
+def mh_step(state, candidate, u):
+    """Independence MH accept test on precomputed scores.
+
+    ``u`` is the step's uniform draw.  Returns (new_state, accepted).
+    """
+    if candidate.log_target == -math.inf:
         return state, False
     log_ratio = (
-        lt_candidate
+        candidate.log_target
         - state.log_target
-        + proposal.log_density(state.position)
-        - proposal.log_density(candidate)
+        + state.log_proposal
+        - candidate.log_proposal
     )
     if math.isnan(log_ratio):
         accepted = state.log_target == -math.inf
     else:
         accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if accepted:
-        return MhState(candidate, lt_candidate), True
+        return candidate, True
     return state, False
 
 
@@ -423,14 +442,18 @@ def _laplace_scale(target, x, nu):
 class _CachedTarget:
     """Log target in log coordinates, remembering likelihoods by position.
 
-    The independence sampler revisits only the current and candidate
-    points, so a tiny FIFO cache removes every redundant likelihood pass.
+    A call scores one point, as the start-point search needs; a tiny FIFO
+    cache serves the points it revisits.  :meth:`score` scores a block of
+    MH candidates at once, with the same result at each row.
     """
 
     def __init__(self, returns, law, prior, init_variance):
         self.returns = returns
         self.law = law
+        self.names = _PARAM_NAMES if law == RATIONAL else _PARAM_NAMES[:3]
         self.prior = prior
+        if init_variance is None:
+            init_variance = returns.sample_variance()
         self.init_variance = init_variance
         self._cache = {}
 
@@ -472,6 +495,67 @@ class _CachedTarget:
         self(x)
         return self._cache[x.tobytes()][1]
 
+    def score(self, xs):
+        """Log targets and log-likelihoods at each row of ``xs``, equal to
+        what the scalar call gives at each row."""
+        with np.errstate(over="ignore"):
+            thetas = np.exp(xs)
+        inside = self.prior.contains(thetas, self.names)
+        lls = np.full(xs.shape[0], -math.inf)
+        lls[inside] = log_likelihoods(
+            thetas[inside], self.law, self.returns, self.init_variance
+        )
+        # Jacobian of theta = exp(x) is sum(x)
+        lts = np.where(lls == -math.inf, -math.inf, lls + xs.sum(axis=1))
+        return lts, lls
+
+
+def _draw_block(proposal, rng, count):
+    """``count`` candidates and accept uniforms, drawn in the per-step order
+    of a one-at-a-time sampler: normal vector, chi-square, uniform."""
+    z = np.empty((count, proposal.dim))
+    w = np.empty(count)
+    u = np.empty(count)
+    for i in range(count):
+        z[i] = rng.standard_normal(proposal.dim)
+        w[i] = rng.chisquare(proposal.dof)
+        u[i] = rng.random()
+    return proposal.transform(z, w), u
+
+
+def _mh_block(state, proposal, target, rng, count):
+    """``count`` MH steps under one fixed proposal; returns the state after
+    each step and the number of accepts."""
+    xs, us = _draw_block(proposal, rng, count)
+    lts, lls = target.score(xs)
+    lqs = proposal.log_density(xs)
+    candidates = map(MhState, xs, lts.tolist(), lqs.tolist(), lls.tolist())
+    state = replace(state, log_proposal=proposal.log_density(state.position))
+    visited = []
+    accepts = 0
+    for candidate, u in zip(candidates, us.tolist()):
+        state, accepted = mh_step(state, candidate, u)
+        accepts += accepted
+        visited.append(state)
+    return visited, accepts
+
+
+def _initial_proposal(target, nu):
+    """Start point (the log-target mode found by Nelder-Mead from the
+    moment-informed start) and the Laplace-scaled proposal centred there."""
+    x0 = _start_point(target.returns, target.law)
+    if target(x0) == -math.inf:
+        raise DomainError("prior excludes the moment-informed starting point")
+    res = minimize(
+        lambda x: -target(x),
+        x0,
+        method="Nelder-Mead",
+        options={"maxiter": 500 * x0.shape[0], "xatol": 1e-6, "fatol": 1e-8},
+    )
+    x_start = res.x if math.isfinite(res.fun) and -res.fun >= target(x0) else x0
+    x_start = np.asarray(x_start, dtype=np.float64)
+    return x_start, StudentTProposal(x_start, _laplace_scale(target, x_start, nu), nu)
+
 
 def run_chain(model, returns, config=None):
     """Estimate ``model`` ("garch-n" or "garch-re") on a return series.
@@ -494,52 +578,44 @@ def run_chain(model, returns, config=None):
     target = _CachedTarget(
         returns, law, config.prior, config.init_variance
     )
-    d = 4 if law == RATIONAL else 3
-
-    x0 = _start_point(returns, law)
-    if target(x0) == -math.inf:
-        raise DomainError("prior excludes the moment-informed starting point")
-    res = minimize(
-        lambda x: -target(x),
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 500 * d, "xatol": 1e-6, "fatol": 1e-8},
+    d = len(target.names)
+    x_start, proposal = _initial_proposal(target, config.nu)
+    state = MhState(
+        x_start, target(x_start), math.nan, target.log_likelihood_at(x_start)
     )
-    x_start = res.x if math.isfinite(res.fun) and -res.fun >= target(x0) else x0
 
-    x_start = np.asarray(x_start, dtype=np.float64)
-    proposal = StudentTProposal(
-        x_start, _laplace_scale(target, x_start, config.nu), config.nu
-    )
-    state = MhState(np.asarray(x_start, dtype=np.float64), target(np.asarray(x_start)))
-
+    # one block per adaptation interval; the proposal is refitted after each
+    # full one
     history = np.empty((config.burn_in, d))
-    interval_accepts = 0
-    for i in range(config.burn_in):
-        state, accepted = mh_step(state, proposal, target, rng)
-        interval_accepts += accepted
-        history[i] = state.position
-        if (i + 1) % config.adapt_interval == 0:
+    for start in range(0, config.burn_in, config.adapt_interval):
+        stop = min(start + config.adapt_interval, config.burn_in)
+        visited, interval_accepts = _mh_block(
+            state, proposal, target, rng, stop - start
+        )
+        state = visited[-1]
+        history[start:stop] = [s.position for s in visited]
+        if stop % config.adapt_interval == 0:
             if interval_accepts == 0:
                 # nothing new to learn from; widen the net instead
                 proposal = StudentTProposal(
                     proposal.location, proposal.scale * 4.0, config.nu
                 )
             else:
-                proposal = adapt_proposal(history[: i + 1], config.nu)
-            interval_accepts = 0
+                proposal = adapt_proposal(history[:stop], config.nu)
 
     n = config.samples
     samples_log = np.empty((n, d))
     log_posts = np.empty(n)
     log_liks = np.empty(n)
     accepts = 0
-    for i in range(n):
-        state, accepted = mh_step(state, proposal, target, rng)
-        accepts += accepted
-        samples_log[i] = state.position
-        log_posts[i] = state.log_target
-        log_liks[i] = target.log_likelihood_at(state.position)
+    for start in range(0, n, _FROZEN_BLOCK):
+        stop = min(start + _FROZEN_BLOCK, n)
+        visited, block_accepts = _mh_block(state, proposal, target, rng, stop - start)
+        state = visited[-1]
+        accepts += block_accepts
+        samples_log[start:stop] = [s.position for s in visited]
+        log_posts[start:stop] = [s.log_target for s in visited]
+        log_liks[start:stop] = [s.log_likelihood for s in visited]
 
     acceptance_rate = accepts / n
     if acceptance_rate < 0.01:
@@ -550,11 +626,7 @@ def run_chain(model, returns, config=None):
         )
 
     samples = np.exp(samples_log)
-    names = ("omega", "alpha", "beta", "a") if law == RATIONAL else (
-        "omega",
-        "alpha",
-        "beta",
-    )
+    names = target.names
     summaries = []
     for j, name in enumerate(names):
         col = samples[:, j]

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import regarch
 from regarch import cli
 from regarch.data import daily_log_returns, load_daily_prices
 
@@ -397,3 +401,22 @@ class TestRmspe:
         comments, _, rows = _read_csv(out / "rmspe.csv")
         assert "# paper-literal-rmspe = True" in comments
         assert (_column(rows, 2) == 0.0).all()
+
+
+class TestImports:
+    def test_cli_import_skips_scipy_signal_and_stats(self):
+        # every command process pays for what importing the CLI loads
+        src = os.path.dirname(os.path.dirname(regarch.__file__))
+        probe = (
+            "import sys, regarch.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import math
+import warnings
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from regarch.garch import (
     VolSeries,
     check_constraints,
     log_likelihood,
+    log_likelihoods,
     volatility_recursion,
 )
+from regarch.mcmc import Prior, _CachedTarget
 
 try:
     from regarch import recursions
@@ -47,6 +51,31 @@ def _slow_recursion(omega, alpha, beta, y, init):
     for t in range(1, len(y)):
         sig2.append(omega + alpha * y[t - 1] ** 2 + beta * sig2[-1])
     return np.array(sig2)
+
+
+def _hand_loglik(law, theta, y, init):
+    """Reference log-likelihood, deliberately plain: sequential recursion
+    and literal densities.  Also returns the sum of the absolute terms."""
+    omega, alpha, beta = theta[:3]
+    s = init
+    terms = []
+    for t in range(len(y)):
+        if t > 0:
+            s = omega + alpha * y[t - 1] ** 2 + beta * s
+        if law == NORMAL:
+            terms.append(
+                -0.5 * (math.log(2.0 * math.pi) + math.log(s) + y[t] ** 2 / s)
+            )
+        else:
+            a = theta[3]
+            x2 = y[t] ** 2 / s
+            terms.append(
+                math.log(a)
+                - math.log(math.pi)
+                - math.log((x2 - 1.0) ** 2 + a * a * x2)
+                - 0.5 * math.log(s)
+            )
+    return sum(terms), sum(abs(v) for v in terms)
 
 
 class TestParams:
@@ -247,3 +276,90 @@ class TestBackends:
         assert bad == 1
         _, bad = backend.rational_loglik(1e-5, 0.1, 0.8, 1.57, y, 1e-4)
         assert bad == 1
+
+
+class TestBlockKernel:
+    @given(
+        st.sampled_from([NORMAL, RATIONAL]),
+        st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=60),
+        st.lists(
+            st.tuples(
+                st.floats(1e-8, 1e-3),
+                st.floats(0.01, 0.5),
+                st.floats(0.01, 1.05),
+                st.floats(0.3, 5.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.floats(1e-6, 1e-2),
+        st.sampled_from([1, 97, 1 << 19]),
+        st.sampled_from([1, 5, 32]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_scalar_and_reference(
+        self, law, values, points, init, block_elements, slab
+    ):
+        rets = _returns(values)
+        thetas = np.array(points)[:, : 4 if law == RATIONAL else 3]
+        # small budgets and slabs split the block into several passes
+        with mock.patch.object(
+            recursions_python, "_BLOCK_ELEMENTS", block_elements
+        ), mock.patch.object(recursions_python, "_SLAB", slab):
+            block = log_likelihoods(thetas, law, rets, init)
+        for theta, got in zip(thetas, block):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = log_likelihood(
+                    GarchParams.from_vector(theta, law=law), rets, init
+                )
+            assert got == expected
+            reference, scale = _hand_loglik(law, theta, values, init)
+            assert got == pytest.approx(reference, rel=1e-12, abs=1e-12 * scale)
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
+    def test_bad_points_score_minus_inf(self, law):
+        # with returns of 1e154 the variance settles near 5e307 when
+        # beta = 0.8 but passes the largest double when beta = 1.05, while
+        # every term before that stays finite
+        rets = _returns([1e154] * 40)
+        good = [1e-5, 0.1, 0.8, 1.6]
+        overflow = [1e-5, 0.1, 1.05, 1.6]
+        zero_omega = [0.0, 0.1, 0.8, 1.6]
+        thetas = np.array([good, overflow, zero_omega, good])
+        thetas = thetas[:, : 4 if law == RATIONAL else 3]
+        block = log_likelihoods(thetas, law, rets, 1e300)
+        assert block[1] == block[2] == -math.inf
+        with pytest.raises(NumericalError):
+            log_likelihood(GarchParams.from_vector(thetas[1], law=law), rets, 1e300)
+        with pytest.raises(DomainError):
+            log_likelihood(GarchParams.from_vector(thetas[2], law=law), rets, 1e300)
+        params = GarchParams.from_vector(thetas[0], law=law)
+        assert block[0] == block[3] == log_likelihood(params, rets, 1e300)
+
+    @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
+    def test_candidate_scores_match_scalar_target(self, law):
+        rng = np.random.default_rng(4)
+        rets = _returns(rng.standard_normal(80) * 0.01)
+        target = _CachedTarget(rets, law, Prior(upper={"beta": 0.85}), None)
+        base = np.log([1e-5, 0.1, 0.8, 1.6][: len(target.names)])
+        rows = [base]
+        for j, value in [
+            (0, -800.0),  # exp underflows: omega is 0
+            (2, 800.0),  # exp overflows: beta is inf
+            (2, math.log(0.9)),  # outside the prior box
+            (1, math.log(0.2)),
+        ]:
+            row = base.copy()
+            row[j] = value
+            rows.append(row)
+        xs = np.array(rows)
+        log_targets, lls = target.score(xs)
+        assert list(log_targets[1:4]) == [-math.inf] * 3
+        assert list(lls[1:4]) == [-math.inf] * 3
+        for x, lt, ll in zip(xs, log_targets, lls):
+            with np.errstate(over="ignore"):
+                assert lt == target(x)
+            assert ll == target.log_likelihood_at(x)
+        assert math.isfinite(log_targets[0]) and math.isfinite(log_targets[4])

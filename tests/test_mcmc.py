@@ -14,7 +14,7 @@ from regarch.exceptions import (
     InsufficientHistoryError,
     ValidationError,
 )
-from regarch.garch import NORMAL, GarchParams
+from regarch.garch import NORMAL, RATIONAL, GarchParams
 from regarch.mcmc import (
     MODEL_NORMAL,
     MODEL_RATIONAL,
@@ -30,6 +30,8 @@ from regarch.mcmc import (
     integrated_autocorr_time,
     log_posterior,
     mh_step,
+    _CachedTarget,
+    _initial_proposal,
     run_chain,
     run_chains,
 )
@@ -141,14 +143,19 @@ class TestMhStep:
     def _gaussian(v):
         return -0.5 * float(v @ v)
 
+    @staticmethod
+    def _scored(proposal, log_target, x):
+        return MhState(x, log_target(x), proposal.log_density(x))
+
     def test_recovers_gaussian_target(self):
         proposal = StudentTProposal(np.zeros(1), np.eye(1) * 1.5, 8.0)
         rng = np.random.default_rng(5)
-        state = MhState(np.array([3.0]), self._gaussian(np.array([3.0])))
+        state = self._scored(proposal, self._gaussian, np.array([3.0]))
         draws = np.empty(20_000)
         accepted = 0
         for i in range(draws.shape[0]):
-            state, a = mh_step(state, proposal, self._gaussian, rng)
+            candidate = self._scored(proposal, self._gaussian, proposal.sample(rng))
+            state, a = mh_step(state, candidate, rng.random())
             draws[i] = state.position[0]
             accepted += a
         assert abs(draws.mean()) < 0.05
@@ -158,16 +165,20 @@ class TestMhStep:
     def test_impossible_candidate_rejected(self):
         proposal = StudentTProposal(np.zeros(1), np.eye(1), 8.0)
         rng = np.random.default_rng(0)
-        state = MhState(np.array([0.5]), 0.0)
-        new, accepted = mh_step(state, proposal, lambda v: -math.inf, rng)
+        state = MhState(np.array([0.5]), 0.0, proposal.log_density(np.array([0.5])))
+        candidate = self._scored(proposal, lambda v: -math.inf, proposal.sample(rng))
+        new, accepted = mh_step(state, candidate, rng.random())
         assert not accepted
         assert new is state
 
     def test_escapes_impossible_start(self):
         proposal = StudentTProposal(np.zeros(1), np.eye(1), 8.0)
         rng = np.random.default_rng(0)
-        state = MhState(np.array([50.0]), -math.inf)
-        new, accepted = mh_step(state, proposal, self._gaussian, rng)
+        state = MhState(
+            np.array([50.0]), -math.inf, proposal.log_density(np.array([50.0]))
+        )
+        candidate = self._scored(proposal, self._gaussian, proposal.sample(rng))
+        new, accepted = mh_step(state, candidate, rng.random())
         assert accepted
         assert math.isfinite(new.log_target)
 
@@ -354,6 +365,85 @@ class TestRunChain:
         _, returns = _synthetic_returns()
         expected = log_posterior(params, returns) + chain.samples_log[i].sum()
         assert chain.log_posteriors[i] == pytest.approx(expected, rel=1e-9)
+
+
+def _reference_chain(model, returns, config):
+    """One MH step at a time, deliberately plain: draw a candidate, score it
+    with the scalar log target, accept or reject, adapt at interval ends.
+
+    Returns the retained log positions, log targets and log-likelihoods, and
+    the number of candidates the prior box rejected.
+    """
+    law = NORMAL if model == MODEL_NORMAL else RATIONAL
+    target = _CachedTarget(returns, law, config.prior, config.init_variance)
+    x, proposal = _initial_proposal(target, config.nu)
+    lt = target(x)
+    rng = np.random.default_rng(config.seed)
+    positions, log_targets, log_liks = [], [], []
+    interval_accepts = 0
+    outside_box = 0
+    for i in range(config.burn_in + config.samples):
+        candidate = proposal.sample(rng)
+        u = rng.random()
+        params = GarchParams.from_vector(np.exp(candidate), law=law)
+        outside_box += config.prior.log_density(params) == -math.inf
+        lt_candidate = target(candidate)
+        if lt_candidate != -math.inf:
+            log_ratio = (
+                lt_candidate
+                - lt
+                + proposal.log_density(x)
+                - proposal.log_density(candidate)
+            )
+            if math.isnan(log_ratio):
+                accepted = lt == -math.inf
+            else:
+                accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
+            if accepted:
+                x, lt = candidate, lt_candidate
+                interval_accepts += 1
+        positions.append(x)
+        log_targets.append(lt)
+        log_liks.append(target.log_likelihood_at(x))
+        if i < config.burn_in and (i + 1) % config.adapt_interval == 0:
+            if interval_accepts == 0:
+                proposal = StudentTProposal(
+                    proposal.location, proposal.scale * 4.0, config.nu
+                )
+            else:
+                proposal = adapt_proposal(np.array(positions), config.nu)
+            interval_accepts = 0
+    k = config.burn_in
+    return (
+        np.array(positions[k:]),
+        np.array(log_targets[k:]),
+        np.array(log_liks[k:]),
+        outside_box,
+    )
+
+
+class TestBlockScoredChain:
+    @pytest.mark.parametrize(
+        "model, prior",
+        [
+            (MODEL_NORMAL, Prior(upper={"alpha": 0.2, "beta": 0.85})),
+            (MODEL_RATIONAL, Prior(lower={"a": 1.3}, upper={"beta": 0.85})),
+        ],
+    )
+    def test_matches_one_step_reference(self, model, prior):
+        params = GarchParams(5e-5, 0.1, 0.8, law=RATIONAL, a=1.57)
+        returns, _ = simulate_garch(params, 300, np.random.default_rng(8))
+        # 1100 burn-in steps: two full adaptation intervals and a partial
+        # one; 2500 kept steps: one full frozen block and a partial one
+        config = ChainConfig(burn_in=1100, samples=2500, seed=12, prior=prior)
+        chain = run_chain(model, returns, config)
+        samples_log, log_posts, log_liks, outside_box = _reference_chain(
+            model, returns, config
+        )
+        assert outside_box > 0
+        np.testing.assert_array_equal(chain.samples_log, samples_log)
+        np.testing.assert_array_equal(chain.log_posteriors, log_posts)
+        np.testing.assert_array_equal(chain.log_likelihoods, log_liks)
 
 
 class TestRunChains:

@@ -25,9 +25,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from .data import write_csv, write_json
 from .exceptions import (
@@ -112,8 +109,8 @@ class StudentTProposal:
         # raises LinAlgError when the scale is not positive definite
         self._chol = np.linalg.cholesky(self.scale)
         self._log_norm = (
-            gammaln((self.dof + d) / 2.0)
-            - gammaln(self.dof / 2.0)
+            math.lgamma((self.dof + d) / 2.0)
+            - math.lgamma(self.dof / 2.0)
             - 0.5 * d * math.log(self.dof * math.pi)
             - np.log(np.diag(self._chol)).sum()
         )
@@ -127,8 +124,11 @@ class StudentTProposal:
 
     def log_density(self, x):
         """Log density at a point (d,) or at each row of a block (m, d)."""
-        r = np.asarray(x, dtype=np.float64) - self.location
-        z = solve_triangular(self._chol, r.T, lower=True, check_finite=False)
+        r = (np.asarray(x, dtype=np.float64) - self.location).T
+        # forward substitution L z = r, one row of the factor at a time
+        z = np.empty_like(r)
+        for i, row in enumerate(self._chol):
+            z[i] = (r[i] - row[:i] @ z[:i]) / row[i]
         m = (z * z).sum(axis=0)
         out = self._log_norm - 0.5 * (self.dof + self.dim) * np.log1p(m / self.dof)
         return out if out.ndim else float(out)
@@ -414,22 +414,32 @@ def _laplace_scale(target, x, nu):
     fallback = np.eye(d) * 0.01
     h = 1e-3
     f0 = target(x)
-    hess = np.empty((d, d))
     steps = h * np.eye(d)
-    for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                val = (target(x + steps[i]) - 2.0 * f0 + target(x - steps[i])) / h**2
-            else:
-                val = (
-                    target(x + steps[i] + steps[j])
-                    - target(x + steps[i] - steps[j])
-                    - target(x - steps[i] + steps[j])
-                    + target(x - steps[i] - steps[j])
-                ) / (4.0 * h**2)
-            if not math.isfinite(val):
-                return fallback * (nu - 2.0) / nu
-            hess[i, j] = hess[j, i] = val
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    points = []
+    for i, j in pairs:
+        if i == j:
+            points += [x + steps[i], x - steps[i]]
+        else:
+            points += [
+                x + steps[i] + steps[j],
+                x + steps[i] - steps[j],
+                x - steps[i] + steps[j],
+                x - steps[i] - steps[j],
+            ]
+    # all points in one block call; each score equals the scalar call's
+    scores = iter(target.score(np.array(points))[0].tolist())
+    hess = np.empty((d, d))
+    for i, j in pairs:
+        if i == j:
+            val = (next(scores) - 2.0 * f0 + next(scores)) / h**2
+        else:
+            val = (
+                next(scores) - next(scores) - next(scores) + next(scores)
+            ) / (4.0 * h**2)
+        if not math.isfinite(val):
+            return fallback * (nu - 2.0) / nu
+        hess[i, j] = hess[j, i] = val
     lam, vec = np.linalg.eigh(-hess)
     if not np.isfinite(lam).all() or lam.max() <= 0.0:
         return fallback * (nu - 2.0) / nu
@@ -540,19 +550,92 @@ def _mh_block(state, proposal, target, rng, count):
     return visited, accepts
 
 
+def _nelder_mead(func, x0, maxiter, xatol, fatol):
+    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex.
+
+    The path of ``scipy.optimize.minimize(method="Nelder-Mead")`` that the
+    start-point search takes, in the same arithmetic: the default initial
+    simplex (each coordinate scaled by 1.05, or set to 0.00025 where it is
+    zero), no bounds, the standard coefficients (reflection 1, expansion 2,
+    contraction 1/2, shrink 1/2), no limit on evaluations, and the same
+    stopping tests.  Returns (x, f(x), evaluations, iterations).
+    """
+    n = x0.shape[0]
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return func(np.copy(x))
+
+    fsim = np.array([f(v) for v in sim], dtype=np.float64)
+    # the reference sorts twice before the loop; argsort need not be stable,
+    # so ties may move on the second pass
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    nit = 1
+    while nit < maxiter:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:
+                # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = f(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        nit += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev, nit
+
+
 def _initial_proposal(target, nu):
     """Start point (the log-target mode found by Nelder-Mead from the
     moment-informed start) and the Laplace-scaled proposal centred there."""
     x0 = _start_point(target.returns, target.law)
     if target(x0) == -math.inf:
         raise DomainError("prior excludes the moment-informed starting point")
-    res = minimize(
-        lambda x: -target(x),
-        x0,
-        method="Nelder-Mead",
-        options={"maxiter": 500 * x0.shape[0], "xatol": 1e-6, "fatol": 1e-8},
+    x_min, f_min, _, _ = _nelder_mead(
+        lambda x: -target(x), x0, maxiter=500 * x0.shape[0], xatol=1e-6, fatol=1e-8
     )
-    x_start = res.x if math.isfinite(res.fun) and -res.fun >= target(x0) else x0
+    x_start = x_min if math.isfinite(f_min) and -f_min >= target(x0) else x0
     x_start = np.asarray(x_start, dtype=np.float64)
     return x_start, StudentTProposal(x_start, _laplace_scale(target, x_start, nu), nu)
 

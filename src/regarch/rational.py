@@ -4,30 +4,35 @@ The density integrates to one and has unit variance for every shape a > 0;
 its tails fall off like x^-4, so the fourth moment diverges.  It is unimodal
 at zero only for a >= sqrt(2); below that the mode splits symmetrically.
 
-The CDF has no useful closed form, so it is tabulated once per shape value:
-the positive half-line is mapped through u = arctan(x), the probability mass
-of each knot interval is integrated adaptively, and a monotone cubic
-interpolant is built in u.  Beyond the last knot the exact x^-3 tail integral
-closes the table.  Sampling inverts the same table.
+The CDF has a closed form.  With q = 1 + (a^2 - 2) t^2 + t^4, splitting
+2/q = (1 + t^2)/q + (1 - t^2)/q gives two integrals elementary in t - 1/t
+and t + 1/t; with s = 4 - a^2 and u = x + 1/x for x > 0,
+
+    F(x) = 1/2 + (a / 2 pi) [(arctan((x - 1/x) / a) + pi/2) / a + I(u)],
+
+where I(u) = artanh(sqrt(s)/u)/sqrt(s) for a < 2, arctan(sqrt(-s)/u)/sqrt(-s)
+for a > 2 and 1/u for a = 2; F is odd about 1/2.  Beyond |x| = 50 the exact
+x^-3 tail integral, joined to the mass left there, takes over.  Sampling
+inverts F by safeguarded Newton steps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .exceptions import DomainError
 
 UNIMODAL_MIN_A = math.sqrt(2.0)
 
 _X_MAX = 50.0
-_N_INTERVALS = 800
 _LN_PI = math.log(math.pi)
+# quantile iterations stop once F matches p - 1/2, or x moves, by a few ulps
+_RTOL = 4.0 * np.finfo(np.float64).eps
+_MAX_ITER = 100
+# Gauss-Legendre nodes of the fixed second-moment rule
+_N_NODES = 400
 
 
 def _check_a(a):
@@ -58,141 +63,113 @@ def log_pdf(x, a):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class CdfTable:
-    """Tabulated CDF of the rational density for one shape value.
+def _half_mass(x, a):
+    """P(0 < X <= x) for x >= 0 by the closed form.
 
-    ``x`` and ``cum`` hold the symmetric knot grid and the CDF there; the
-    mass beyond the last knot (``tail_mass`` per side) is attached through
-    the exact asymptotic tail, so ``cdf``/``inverse`` cover the whole line.
+    arctan((x - 1/x)/a) + pi/2 is evaluated as atan2(a x, 1 - x^2) and
+    sqrt(|s|)/u as sqrt(|s|) x / (1 + x^2): the same values without the
+    cancellation near x = 0 or the division by zero at it.
     """
-
-    a: float
-    x: np.ndarray
-    cum: np.ndarray
-    tail_mass: float
-    _u_pos: np.ndarray = field(repr=False, default=None)
-    _g_pos: np.ndarray = field(repr=False, default=None)
-    _fwd: PchipInterpolator = field(repr=False, default=None)
-    _inv: PchipInterpolator = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._fwd is None:
-            half = (self.x.shape[0] + 1) // 2
-            xp = self.x[half - 1 :]
-            self._u_pos = np.arctan(xp)
-            self._g_pos = self.cum[half - 1 :] - 0.5
-            self._fwd = PchipInterpolator(self._u_pos, self._g_pos)
-            self._inv = PchipInterpolator(self._g_pos, self._u_pos)
-
-    @property
-    def x_max(self):
-        return float(self.x[-1])
-
-    def cdf(self, x):
-        """CDF at x; accepts scalars or arrays, valid on the whole line."""
-        x_in = np.asarray(x, dtype=np.float64)
-        xv = np.atleast_1d(x_in)
-        ax = np.abs(xv)
-        inside = ax <= self.x_max
-        g = np.empty_like(ax)
-        g[inside] = self._fwd(np.arctan(ax[inside]))
-        # exact tail: integral of a/(pi x^4) from t to inf is a/(3 pi t^3),
-        # rescaled so the table and tail meet continuously at x_max
-        far = ax[~inside]
-        g[~inside] = 0.5 - self.tail_mass * (self.x_max / far) ** 3
-        out = 0.5 + np.sign(xv) * g
-        return float(out[0]) if x_in.ndim == 0 else out
-
-    def inverse(self, p):
-        """Quantile at probability p in (0, 1); scalars or arrays."""
-        p_in = np.asarray(p, dtype=np.float64)
-        pv = np.atleast_1d(p_in)
-        if ((pv <= 0.0) | (pv >= 1.0)).any():
-            raise DomainError("probabilities must lie strictly inside (0, 1)")
-        z = pv - 0.5
-        g = np.abs(z)
-        inside = g <= self._g_pos[-1]
-        x = np.empty_like(g)
-        x[inside] = np.tan(self._inv(g[inside]))
-        rest = np.maximum(0.5 - g[~inside], 1e-300)
-        x[~inside] = self.x_max * (self.tail_mass / rest) ** (1.0 / 3.0)
-        out = np.sign(z) * x
-        return float(out[0]) if p_in.ndim == 0 else out
+    x2p1 = 1.0 + x * x
+    arc = np.arctan2(a * x, (1.0 - x) * (1.0 + x)) / a
+    s = (2.0 - a) * (2.0 + a)
+    if s > 0.0:
+        r = math.sqrt(s)
+        inner = np.arctanh(r * x / x2p1) / r
+    elif s < 0.0:
+        r = math.sqrt(-s)
+        inner = np.arctan(r * x / x2p1) / r
+    else:
+        inner = x / x2p1
+    return a / (2.0 * np.pi) * (arc + inner)
 
 
-def build_cdf_table(a, x_max=_X_MAX, n_intervals=_N_INTERVALS):
-    """Integrate the density into a :class:`CdfTable` for shape ``a``.
-
-    Knots are uniform in arctan(x) on [0, x_max], which concentrates them
-    around the origin where the density peaks while still reaching far into
-    the tail; each interval's mass comes from adaptive quadrature of the
-    density under the same substitution.
-    """
-    a = _check_a(a)
-    if x_max <= 1.0 or n_intervals < 8:
-        raise DomainError("x_max must exceed 1 and n_intervals be at least 8")
-    u = np.linspace(0.0, math.atan(x_max), n_intervals + 1)
-
-    def integrand(t):
-        x = math.tan(t)
-        c = math.cos(t)
-        return pdf(x, a) / (c * c)
-
-    masses = np.empty(n_intervals)
-    for i in range(n_intervals):
-        masses[i], _ = quad(integrand, u[i], u[i + 1], epsabs=1e-14, epsrel=1e-12)
-    g_pos = np.concatenate([[0.0], np.cumsum(masses)])
-    tail_mass = 0.5 - g_pos[-1]
-    if tail_mass <= 0:
-        raise DomainError("table covers more than half the mass; numerical failure")
-
-    x_pos = np.tan(u)
-    x_knots = np.concatenate([-x_pos[:0:-1], x_pos])
-    cum = np.concatenate([0.5 - g_pos[:0:-1], 0.5 + g_pos])
-    return CdfTable(a=a, x=x_knots, cum=cum, tail_mass=float(tail_mass))
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_table(a, x_max, n_intervals):
-    return build_cdf_table(a, x_max, n_intervals)
-
-
-def cdf_table(a):
-    """Shared table for shape ``a`` (built on first use, then cached)."""
-    return _cached_table(_check_a(a), _X_MAX, _N_INTERVALS)
+def _tail_mass(a):
+    """P(X > 50): the mass the x^-3 tail carries."""
+    return 0.5 - float(_half_mass(_X_MAX, a))
 
 
 def cdf(x, a):
     """CDF at x for shape ``a``; accepts scalars or arrays."""
-    return cdf_table(a).cdf(x)
+    a = _check_a(a)
+    x_in = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x_in)
+    g = _half_mass(np.minimum(ax, _X_MAX), a)
+    # exact tail: integral of a/(pi x^4) from t to inf is a/(3 pi t^3),
+    # rescaled so the closed form and the tail meet continuously at 50
+    far = ax > _X_MAX
+    g = np.where(far, 0.5 - _tail_mass(a) * (_X_MAX / np.maximum(ax, _X_MAX)) ** 3, g)
+    out = 0.5 + np.sign(x_in) * g
+    return out if out.ndim else float(out)
+
+
+def _solve_half(q, a):
+    """x in [0, 50] with P(0 < X <= x) = q, for each q in [0, P(0 < X <= 50)].
+
+    Newton steps inside a bracket that every evaluation narrows; a step that
+    leaves the bracket is replaced by its midpoint.  An entry stops once F
+    matches q, or the step moves x, by no more than a few ulps.
+    """
+    lo = np.zeros_like(q)
+    hi = np.full_like(q, _X_MAX)
+    # the Cauchy quantile has the same centre and a similar spread
+    x = np.minimum(np.tan(np.pi * q), _X_MAX)
+    for _ in range(_MAX_ITER):
+        r = _half_mass(x, a) - q
+        lo = np.where(r < 0.0, x, lo)
+        hi = np.where(r > 0.0, x, hi)
+        new = x - r / pdf(x, a)
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        done = (np.abs(r) <= _RTOL * q) | (np.abs(new - x) <= _RTOL * x)
+        if done.all():
+            break
+        x = np.where(done, x, new)
+    return x
+
+
+def quantile(p, a):
+    """Quantile at probability p in (0, 1) for shape ``a``; scalars or arrays."""
+    a = _check_a(a)
+    p_in = np.asarray(p, dtype=np.float64)
+    if ((p_in <= 0.0) | (p_in >= 1.0)).any():
+        raise DomainError("probabilities must lie strictly inside (0, 1)")
+    z = np.atleast_1d(p_in - 0.5)
+    q = np.abs(z)
+    tail = _tail_mass(a)
+    inside = q <= 0.5 - tail
+    x = np.empty_like(q)
+    x[inside] = _solve_half(q[inside], a)
+    rest = np.maximum(0.5 - q[~inside], 1e-300)
+    x[~inside] = _X_MAX * (tail / rest) ** (1.0 / 3.0)
+    out = np.sign(z) * x
+    return out if p_in.ndim else float(out[0])
 
 
 def sample(count, a, rng):
-    """Draw ``count`` variates by inverting the tabulated CDF."""
+    """Draw ``count`` variates by inverting the CDF."""
     if count < 0:
         raise DomainError("count must be non-negative")
-    table = cdf_table(a)
+    a = _check_a(a)
     if count == 0:
         return np.empty(0)
     u = rng.random(count)
     # u == 0 would ask for the -inf quantile; nudge inside the open interval
     u = np.maximum(u, 1e-300)
-    return table.inverse(u)
+    return quantile(u, a)
 
 
 def variance_check(a):
-    """Second moment by quadrature; equals 1 up to integration error.
+    """Second moment by a fixed Gauss-Legendre rule; equals 1 up to
+    integration error.
 
     Exposed so callers can confirm the unit-variance normalization that the
-    likelihood relies on, rather than trusting it.
+    likelihood relies on, rather than trusting it.  Under x = tan(t) the
+    integrand x^2 f(x) (1 + x^2) is smooth and bounded on [0, pi/2].
     """
     a = _check_a(a)
-
-    def integrand(t):
-        x = math.tan(t)
-        c = math.cos(t)
-        return x * x * pdf(x, a) / (c * c)
-
-    half, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return 2.0 * half
+    nodes, weights = np.polynomial.legendre.leggauss(_N_NODES)
+    t = 0.25 * np.pi * (nodes + 1.0)
+    x = np.tan(t)
+    x2 = x * x
+    integrand = x2 * pdf(x, a) * (1.0 + x2)
+    return 2.0 * 0.25 * np.pi * float(weights @ integrand)

@@ -5,6 +5,9 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.optimize import minimize
+from scipy.special import gammaln
 from scipy.stats import multivariate_t
 
 from regarch.data import ReturnSeries
@@ -32,6 +35,9 @@ from regarch.mcmc import (
     mh_step,
     _CachedTarget,
     _initial_proposal,
+    _laplace_scale,
+    _nelder_mead,
+    _start_point,
     run_chain,
     run_chains,
 )
@@ -80,6 +86,35 @@ class TestStudentTProposal:
             assert proposal.log_density(x) == pytest.approx(
                 reference.logpdf(x), rel=1e-12
             )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_block_log_density_matches_triangular_solve(self, d):
+        # forward substitution against LAPACK's triangular solve and SciPy's
+        # log-gamma, point by point and over random blocks
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            a = rng.normal(size=(d, d))
+            scale = a @ a.T + 0.05 * np.eye(d)
+            loc = rng.normal(size=d)
+            dof = float(rng.uniform(2.5, 30.0))
+            proposal = StudentTProposal(loc, scale, dof)
+            xs = loc + rng.standard_t(4.0, size=(50, d)) * 3.0
+            chol = np.linalg.cholesky(scale)
+            z = solve_triangular(chol, (xs - loc).T, lower=True, check_finite=False)
+            log_norm = (
+                gammaln((dof + d) / 2.0)
+                - gammaln(dof / 2.0)
+                - 0.5 * d * math.log(dof * math.pi)
+                - np.log(np.diag(chol)).sum()
+            )
+            kernel = 0.5 * (dof + d) * np.log1p((z * z).sum(axis=0) / dof)
+            ref = log_norm - kernel
+            # rel 1e-13, with a slack of 1e-13 times the two terms' sizes
+            # where they cancel to near zero
+            slack = 1e-13 * (abs(log_norm) + kernel)
+            got = proposal.log_density(xs)
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + slack)
+            assert abs(proposal.log_density(xs[0]) - ref[0]) <= 1e-13 * abs(ref[0]) + slack[0]
 
     def test_covariance_is_scale_times_dof_ratio(self):
         scale = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -444,6 +479,121 @@ class TestBlockScoredChain:
         np.testing.assert_array_equal(chain.samples_log, samples_log)
         np.testing.assert_array_equal(chain.log_posteriors, log_posts)
         np.testing.assert_array_equal(chain.log_likelihoods, log_liks)
+
+
+_NM_OPTIONS = {"xatol": 1e-6, "fatol": 1e-8}
+
+
+def _assert_same_minimize(func, x0, maxiter):
+    ref = minimize(func, x0, method="Nelder-Mead", options={"maxiter": maxiter, **_NM_OPTIONS})
+    x, fun, nfev, nit = _nelder_mead(func, x0, maxiter=maxiter, **_NM_OPTIONS)
+    np.testing.assert_array_equal(x, ref.x)
+    assert (fun, nfev, nit) == (ref.fun, ref.nfev, ref.nit)
+    return nit
+
+
+class TestNelderMead:
+    """The port against ``scipy.optimize.minimize``, bit for bit."""
+
+    def test_random_smooth_targets(self):
+        rng = np.random.default_rng(4)
+        for trial in range(40):
+            d = 1 + trial % 4
+            a = rng.normal(size=(d, d))
+            curvature = a @ a.T + 0.1 * np.eye(d)
+            centre = rng.normal(size=d)
+
+            def func(x, curvature=curvature, centre=centre):
+                r = x - centre
+                return float(r @ curvature @ r + 0.1 * np.sum(r**4))
+
+            x0 = rng.normal(size=d) * 3.0
+            if trial % 5 == 0:
+                x0[0] = 0.0  # a zero coordinate gets the absolute step
+            _assert_same_minimize(func, x0, 500 * d)
+
+    def test_stops_at_maxiter(self):
+        def rosenbrock(x):
+            return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+        assert _assert_same_minimize(rosenbrock, np.array([-1.2, 1.0]), 30) == 30
+
+    def test_infinite_region(self):
+        # outside the unit ball the objective is +inf, as -log target is
+        # where the target rejects
+        hits = []
+
+        def func(x):
+            if x @ x > 1.0:
+                hits.append(1)
+                return math.inf
+            return float((x[0] - 0.9) ** 2 + 2.0 * (x[1] + 0.3) ** 2)
+
+        _assert_same_minimize(func, np.array([0.6, 0.5]), 1000)
+        assert hits
+
+    @pytest.mark.parametrize("model", [MODEL_NORMAL, MODEL_RATIONAL])
+    def test_log_target(self, model):
+        law = NORMAL if model == MODEL_NORMAL else RATIONAL
+        _, returns = _synthetic_returns(n=300, seed=3)
+        target = _CachedTarget(returns, law, Prior(), None)
+        x0 = _start_point(returns, law)
+        _assert_same_minimize(lambda x: -target(x), x0, 500 * x0.shape[0])
+
+
+def _laplace_scale_per_point(target, x, nu):
+    """Proposal scale from a Hessian scored one scalar target call per point."""
+    d = x.shape[0]
+    fallback = np.eye(d) * 0.01
+    h = 1e-3
+    f0 = target(x)
+    hess = np.empty((d, d))
+    steps = h * np.eye(d)
+    for i in range(d):
+        for j in range(i, d):
+            if i == j:
+                val = (target(x + steps[i]) - 2.0 * f0 + target(x - steps[i])) / h**2
+            else:
+                val = (
+                    target(x + steps[i] + steps[j])
+                    - target(x + steps[i] - steps[j])
+                    - target(x - steps[i] + steps[j])
+                    + target(x - steps[i] - steps[j])
+                ) / (4.0 * h**2)
+            if not math.isfinite(val):
+                return fallback * (nu - 2.0) / nu
+            hess[i, j] = hess[j, i] = val
+    lam, vec = np.linalg.eigh(-hess)
+    if not np.isfinite(lam).all() or lam.max() <= 0.0:
+        return fallback * (nu - 2.0) / nu
+    var = np.clip(1.0 / np.maximum(lam, 1e-12), 1e-4, 1.0)
+    cov = (vec * var) @ vec.T
+    return cov * (nu - 2.0) / nu
+
+
+class TestLaplaceScale:
+    @pytest.mark.parametrize("model", [MODEL_NORMAL, MODEL_RATIONAL])
+    def test_matches_per_point_reference(self, model):
+        law = NORMAL if model == MODEL_NORMAL else RATIONAL
+        _, returns = _synthetic_returns(n=400, seed=6)
+        target = _CachedTarget(returns, law, Prior(), None)
+        x, _ = _initial_proposal(target, 10.0)
+        for point in (x, x + 0.05, _start_point(returns, law)):
+            np.testing.assert_array_equal(
+                _laplace_scale(target, point, 10.0),
+                _laplace_scale_per_point(target, point, 10.0),
+            )
+
+    def test_point_outside_prior_box_falls_back(self):
+        _, returns = _synthetic_returns(n=400, seed=6)
+        x = np.log(np.array([5e-5, 0.1, 0.8]))
+        # a box edge 0.05% above alpha puts x + h outside it
+        prior = Prior(upper={"alpha": 0.1 * (1.0 + 5e-4)})
+        target = _CachedTarget(returns, NORMAL, prior, None)
+        assert target(x + 1e-3 * np.eye(3)[1]) == -math.inf
+        scale = _laplace_scale(target, x, 10.0)
+        np.testing.assert_array_equal(scale, _laplace_scale_per_point(target, x, 10.0))
+        np.testing.assert_array_equal(scale, np.eye(3) * 0.01 * 8.0 / 10.0)
 
 
 class TestRunChains:

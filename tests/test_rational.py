@@ -28,6 +28,16 @@ CDF_ORACLE = {
 }
 
 
+def _quad_cdf(x, a):
+    """CDF at x >= 0 by adaptive quadrature of the density, piece by piece."""
+    edges = [0.0] + [e for e in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0) if e < x] + [x]
+    mass = sum(
+        quad(rational.pdf, lo, hi, args=(a,), epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    return 0.5 + mass
+
+
 class TestDensity:
     def test_value_at_origin(self):
         assert rational.pdf(0.0, 1.57) == pytest.approx(
@@ -54,6 +64,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("a", [0.7, 1.0, 1.57, 2.0, 4.0])
     def test_unit_variance(self, a):
+        # fixed Gauss-Legendre rule under x = tan(t)
         assert rational.variance_check(a) == pytest.approx(1.0, abs=1e-9)
 
     @given(st.floats(-50, 50), st.floats(0.05, 50))
@@ -94,10 +105,34 @@ class TestCdf:
         np.testing.assert_allclose(rational.cdf(x, 2.0), expected, atol=1e-9)
 
     def test_center_and_limits(self):
-        table = rational.cdf_table(1.57)
-        assert table.cdf(0.0) == 0.5
-        assert table.cdf(-1e12) == pytest.approx(0.0, abs=1e-30)
-        assert table.cdf(1e12) == pytest.approx(1.0, abs=1e-15)
+        assert rational.cdf(0.0, 1.57) == 0.5
+        assert rational.cdf(-1e12, 1.57) == pytest.approx(0.0, abs=1e-30)
+        assert rational.cdf(1e12, 1.57) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [0.3, 0.8, math.sqrt(2.0), 1.999, 2.0, 2.001, 3.0, 10.0])
+    def test_closed_form_matches_quadrature(self, a):
+        # a near 2 crosses the switch of the closed form from artanh (s > 0)
+        # through 1/u (s = 0) to arctan (s < 0)
+        x = np.concatenate([np.geomspace(1e-6, 49.0, 40), [0.5, 1.0, 2.0]])
+        ref = np.array([_quad_cdf(v, a) for v in x])
+        np.testing.assert_allclose(rational.cdf(x, a), ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(rational.cdf(-x, a), 1.0 - ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("a", [0.8, 1.57, 3.0])
+    def test_tail_joins_at_fifty(self, a):
+        # closed form up to 50, then (1 - F(50)) (50 / x)^3, with the mass
+        # beyond 50 equal to the integral of the density there
+        tail = 1.0 - rational.cdf(50.0, a)
+        ref, _ = quad(rational.pdf, 50.0, np.inf, args=(a,), epsabs=1e-16, epsrel=1e-12)
+        assert tail == pytest.approx(ref, rel=1e-9)
+        above = np.nextafter(50.0, np.inf)
+        assert abs(rational.cdf(above, a) - rational.cdf(50.0, a)) <= 1e-16
+        assert rational.cdf(-above, a) <= rational.cdf(-50.0, a)
+        for t in (60.0, 200.0, 1e4):
+            assert 1.0 - rational.cdf(t, a) == pytest.approx(
+                tail * (50.0 / t) ** 3, rel=1e-9
+            )
+            assert rational.cdf(-t, a) == pytest.approx(tail * (50.0 / t) ** 3, rel=1e-9)
 
     def test_tail_matches_asymptote(self):
         # P(X > t) -> a / (3 pi t^3) for large t
@@ -117,34 +152,54 @@ class TestCdf:
         assert rational.cdf(lo, a) <= rational.cdf(hi, a) + 1e-15
 
     def test_knot_grid_shape(self):
-        table = rational.cdf_table(1.57)
-        assert np.all(np.diff(table.x) > 0)
-        assert np.all(np.diff(table.cum) > 0)
-        assert table.cum[0] == pytest.approx(table.tail_mass, rel=1e-9)
-        assert table.cum[-1] == pytest.approx(1.0 - table.tail_mass, rel=1e-9)
-        assert 0.0 < table.tail_mass < 1e-4
+        # the CDF on the grid the tabulated form used: 801 knots uniform in
+        # arctan(x) on [0, 50], mirrored to the negative side
+        x_pos = np.tan(np.linspace(0.0, math.atan(50.0), 801))
+        x = np.concatenate([-x_pos[:0:-1], x_pos])
+        cum = rational.cdf(x, 1.57)
+        tail_mass, _ = quad(rational.pdf, 50.0, np.inf, args=(1.57,))
+        assert np.all(np.diff(x) > 0)
+        assert np.all(np.diff(cum) > 0)
+        assert cum[0] == pytest.approx(tail_mass, rel=1e-9)
+        assert cum[-1] == pytest.approx(1.0 - tail_mass, rel=1e-9)
+        assert 0.0 < tail_mass < 1e-4
 
 
 class TestInverse:
     def test_round_trip_x(self):
-        table = rational.cdf_table(1.57)
         x = np.concatenate([np.linspace(-30, 30, 301), [-45.0, 45.0, -200.0, 200.0]])
-        back = table.inverse(table.cdf(x))
+        back = rational.quantile(rational.cdf(x, 1.57), 1.57)
         np.testing.assert_allclose(back, x, rtol=1e-4, atol=1e-9)
 
     def test_round_trip_p(self):
-        table = rational.cdf_table(0.9)
         p = np.linspace(1e-6, 1.0 - 1e-6, 501)
-        np.testing.assert_allclose(table.cdf(table.inverse(p)), p, atol=2e-9)
+        np.testing.assert_allclose(
+            rational.cdf(rational.quantile(p, 0.9), 0.9), p, atol=2e-9
+        )
+
+    @pytest.mark.parametrize("a", [0.3, 0.9, 1.57, 1.999, 2.0, 2.001, 3.0, 10.0])
+    def test_round_trip_p_to_rounding(self, a):
+        # the Newton inverse matches F to 1e-12 in p over the whole line,
+        # in the x^-3 tail beyond 50 too
+        rng = np.random.default_rng(17)
+        p = np.concatenate(
+            [rng.random(2000), np.geomspace(1e-12, 0.5, 200), 1.0 - np.geomspace(1e-12, 0.5, 200)]
+        )
+        x = rational.quantile(p, a)
+        np.testing.assert_allclose(rational.cdf(x, a), p, rtol=0, atol=1e-12)
+        assert np.all(np.diff(x[np.argsort(p)]) >= 0)
+
+    def test_scalar_and_array_shapes(self):
+        assert isinstance(rational.quantile(0.7, 1.57), float)
+        assert rational.quantile(np.full((2, 3), 0.7), 1.57).shape == (2, 3)
 
     def test_median_is_zero(self):
-        assert rational.cdf_table(2.2).inverse(0.5) == 0.0
+        assert rational.quantile(0.5, 2.2) == 0.0
 
     def test_domain(self):
-        table = rational.cdf_table(1.57)
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(DomainError):
-                table.inverse(p)
+                rational.quantile(p, 1.57)
 
 
 class TestSampling:

@@ -4,9 +4,22 @@ File formats
 ------------
 Daily close CSV: header ``date,close``, one row per trading day, ISO dates,
 positive prices.  Tick CSV: header ``timestamp,price``, ISO-8601 timestamps,
-positive prices, rows in any order (they are sorted on load).  Both formats
-allow leading comment lines starting with ``#``; writers in this package use
-them to embed the generating configuration.
+positive prices, rows in any order (they are sorted on load, equal
+timestamps keeping their file order).  Both formats allow leading comment
+lines starting with ``#``; writers in this package use them to embed the
+generating configuration.
+
+A tick timestamp is read as :meth:`datetime.datetime.fromisoformat` reads
+it: ``2006-01-04T09:00:00.123456``, a space for the ``T``, a date alone
+(midnight), a clock of hours or hours and minutes, any number of
+fractional-second digits (cut to microseconds), the basic form
+``20060104T090000``, a lower-case ``t``.  A timestamp with a UTC offset
+(``+09:00``, ``-05:00``, ``Z``) is converted to UTC, with NumPy's warning
+that the offset is dropped.  The loader converts chunks of about 64 KB of
+lines column by column when every row has the form
+``YYYY-MM-DD[Thh[:mm[:ss[.f...]]]],price`` in ASCII; any other chunk is
+parsed row by row, so every form above, and every error with its line
+number, is the row parser's.
 
 Calendar JSON::
 
@@ -27,11 +40,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +65,10 @@ _WEEKDAY_KEYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 
 _US_PER_SECOND = 1_000_000
 
+# Grid instants searched per pass: bounds the index and instant arrays at
+# about 512 KB each, whatever the number of days.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _open_text(source):
     """Return (text-file-like, should_close) for a path or open stream."""
@@ -60,6 +80,37 @@ def _open_text(source):
     return io.TextIOWrapper(source, encoding="utf-8"), False
 
 
+def _header(reader, expected_header):
+    """Consume leading comment and blank rows and the header row.
+
+    Returns the header's line number, which the caller continues from.
+    """
+    for lineno, row in enumerate(reader, start=1):
+        if not row or row[0].startswith("#"):
+            continue
+        if [c.strip().lower() for c in row] != list(expected_header):
+            raise ParseError(
+                f"expected header {','.join(expected_header)!r}, "
+                f"got {','.join(row)!r}",
+                line=lineno,
+            )
+        return lineno
+    raise ParseError("empty file, missing header")
+
+
+def _body_rows(reader, expected_header, lineno):
+    """Yield (line_number, row) pairs after the header; skips blank lines."""
+    for lineno, row in enumerate(reader, start=lineno + 1):
+        if not row:
+            continue
+        if len(row) != len(expected_header):
+            raise ParseError(
+                f"expected {len(expected_header)} fields, got {len(row)}",
+                line=lineno,
+            )
+        yield lineno, row
+
+
 def _rows(source, expected_header):
     """Yield (line_number, row) pairs after validating the header.
 
@@ -68,29 +119,8 @@ def _rows(source, expected_header):
     stream, should_close = _open_text(source)
     try:
         reader = csv.reader(stream)
-        header = None
-        header_line = 0
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].startswith("#") and header is None):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in row]
-                header_line = lineno
-                if header != list(expected_header):
-                    raise ParseError(
-                        f"expected header {','.join(expected_header)!r}, "
-                        f"got {','.join(row)!r}",
-                        line=header_line,
-                    )
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    f"expected {len(expected_header)} fields, got {len(row)}",
-                    line=lineno,
-                )
-            yield lineno, row
-        if header is None:
-            raise ParseError("empty file, missing header")
+        lineno = _header(reader, expected_header)
+        yield from _body_rows(reader, expected_header, lineno)
     finally:
         if should_close:
             stream.close()
@@ -274,6 +304,67 @@ class SessionCalendar:
         return days
 
 
+_EPOCH = date(1970, 1, 1)
+
+
+def _clock_us(t):
+    """Microseconds from midnight to the time of day ``t``.
+
+    Converted as a session datetime is, so a time with a UTC offset is
+    taken in UTC.
+    """
+    return np.datetime64(datetime.combine(_EPOCH, t), "us").astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _TradingDays:
+    """A calendar resolved over a range of days.
+
+    ``days`` are the trading days (``datetime64[D]``, increasing) and
+    ``midnight_us`` their starts in microseconds.  ``groups`` pairs each
+    distinct session tuple, as (open, close) microseconds after midnight,
+    with the indices into ``days`` of the days that trade it.
+    """
+
+    days: np.ndarray
+    midnight_us: np.ndarray
+    groups: tuple
+
+    @classmethod
+    def build(cls, calendar, first, last):
+        """The trading days of ``calendar`` from ``first`` to ``last``
+        (``datetime64[D]``), by array operations over the whole range."""
+        span = np.arange(first, last + np.timedelta64(1, "D"))
+        weekday = (span.view(np.int64) + 3) % 7  # 1970-01-01 was a Thursday
+        holidays = np.array(sorted(calendar.holidays), dtype="datetime64[D]")
+        trading = np.isin(weekday, list(calendar.weekday_sessions))
+        trading &= ~np.isin(span, holidays)
+        days, weekday = span[trading], weekday[trading]
+        by_sessions = {}
+        for wd, sessions in calendar.weekday_sessions.items():
+            by_sessions.setdefault(sessions, []).append(wd)
+        groups = tuple(
+            (
+                tuple((_clock_us(o), _clock_us(c)) for o, c in sessions),
+                np.flatnonzero(np.isin(weekday, wds)),
+            )
+            for sessions, wds in by_sessions.items()
+        )
+        return cls(days, days.astype("datetime64[us]").view(np.int64), groups)
+
+
+def _trading_days_of(ticks, calendar):
+    """The calendar from the first tick's day to the last one's.
+
+    Returns the :class:`_TradingDays`, the index of the last tick at or
+    before the end of each trading day, and whether that tick is on the day.
+    """
+    tick_days = ticks.times.astype("datetime64[D]")
+    table = _TradingDays.build(calendar, tick_days[0], tick_days[-1])
+    last = np.searchsorted(tick_days, table.days, side="right") - 1
+    return table, last, tick_days[last] == table.days
+
+
 @dataclass
 class GridDay:
     """Previous-tick log prices on one day's session grids."""
@@ -286,12 +377,62 @@ class GridDay:
 
 
 @dataclass
+class GridBlock:
+    """Grid log prices of the days that share one session tuple, a row a day.
+
+    ``positions`` gives each row's index in :attr:`GridPrices.dates`, and
+    ``session_ends`` the column after each session's last grid instant.
+    """
+
+    positions: np.ndarray
+    log_prices: np.ndarray
+    session_ends: list[int]
+
+    def day_returns(self):
+        """Yield (position, grid log returns) for each row.
+
+        Returns never span the gap between sessions.  The differences are
+        taken a bounded number of rows at a time, and each day's returns
+        are a fresh array, not a view into a 2-d one: ``r @ r`` on a row
+        view can differ from it in the last bit.
+        """
+        within = np.ones(self.log_prices.shape[1] - 1, dtype=bool)
+        for end in self.session_ends[:-1]:
+            within[end - 1] = False
+        step = max(1, _BLOCK_ELEMENTS // self.log_prices.shape[1])
+        for lo in range(0, len(self.positions), step):
+            diffs = np.diff(self.log_prices[lo : lo + step], axis=1)
+            for pos, row in zip(self.positions[lo : lo + step].tolist(), diffs):
+                yield pos, row[within]
+
+
+@dataclass
 class GridPrices:
-    """Resampled log prices for a range of days at one sampling period."""
+    """Resampled log prices for a range of days at one sampling period.
+
+    ``dates`` lists the usable days in order; their prices are held in
+    ``blocks``, one per session tuple.
+    """
 
     delta_seconds: float
-    days: list[GridDay]
+    dates: list[date]
     skipped_days: list[date]
+    blocks: list[GridBlock]
+
+    def day_returns(self):
+        """Yield (index into ``dates``, grid log returns) for each usable day."""
+        for block in self.blocks:
+            yield from block.day_returns()
+
+    @cached_property
+    def days(self):
+        """A :class:`GridDay` per usable day, with views into ``blocks``."""
+        days = [None] * len(self.dates)
+        for block in self.blocks:
+            spans = list(zip([0, *block.session_ends[:-1]], block.session_ends))
+            for pos, row in zip(block.positions.tolist(), block.log_prices):
+                days[pos] = GridDay(self.dates[pos], [row[a:b] for a, b in spans])
+        return days
 
 
 def load_daily_prices(source):
@@ -321,10 +462,35 @@ def load_daily_prices(source):
     )
 
 
-def load_ticks(source):
-    """Load a ``timestamp,price`` CSV into a time-sorted :class:`TickSeries`."""
+_TICK_HEADER = ("timestamp", "price")
+
+# Characters read per columnar chunk (whole lines of about 64 KB).  The
+# parse holds one chunk's text and cells at a time; on 100k ticks, 256 KB
+# chunks were no faster and raised the command's peak RSS by 2.6 MB.
+_PARSE_CHUNK_CHARS = 1 << 16
+
+_DATE_DIGIT_COLUMNS = [0, 1, 2, 3, 5, 6, 8, 9]
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[list(b"0123456789")] = True
+# byte 10 of a timestamp: the date-time separator, or padding after a date
+_IS_SEPARATOR = np.zeros(256, dtype=bool)
+_IS_SEPARATOR[list(b"T \0")] = True
+# bytes 11 on: the clock, or padding
+_IS_CLOCK = _IS_DIGIT.copy()
+_IS_CLOCK[list(b":.\0")] = True
+_FIRST_DAY = np.datetime64("0001-01-01", "us")
+
+
+def _row_ticks(lines, stream, lineno):
+    """Parse a chunk row by row, continuing the line count from ``lineno``.
+
+    Returns (times, prices, lineno of the last row read).  A quoted field
+    may run past the chunk's last line; the reader then reads on into
+    ``stream`` to the end of that record.
+    """
+    reader = csv.reader(itertools.chain(lines, stream))
     times, prices = [], []
-    for lineno, row in _rows(source, ("timestamp", "price")):
+    for lineno, row in _body_rows(reader, _TICK_HEADER, lineno):
         try:
             ts = datetime.fromisoformat(row[0].strip())
         except ValueError as exc:
@@ -337,8 +503,106 @@ def load_ticks(source):
             raise ValidationError(f"non-positive price {row[1]} at {row[0]}")
         times.append(np.datetime64(ts, "us"))
         prices.append(price)
-    times = np.array(times, dtype="datetime64[us]")
-    prices = np.array(prices, dtype=np.float64)
+        if reader.line_num >= len(lines):
+            break
+    return np.array(times, dtype="datetime64[us]"), np.array(prices), lineno
+
+
+def _iso_stamps_agree(stamps):
+    """Whether NumPy reads every stamp as ``datetime.fromisoformat`` does.
+
+    That holds for ASCII ``YYYY-MM-DD``, optionally followed by ``T`` or a
+    space and a clock of digits, ``:`` and ``.`` that ends in a digit, when
+    NumPy parses it at all: NumPy rejects the other clock forms
+    ``fromisoformat`` takes (basic format, a lower-case ``t``, fractional
+    minutes), while it accepts ``YYYY``, ``YYYY-MM``, ``now``, ``today``,
+    ``NaT`` and a trailing ``.`` that ``fromisoformat`` rejects, and warns
+    on a ``Z`` or ``+hh:mm`` suffix.  The caller still treats a NumPy
+    warning or error as a disagreement.
+    """
+    cells = np.array(stamps, dtype="S")
+    if cells.itemsize < 10:
+        return False
+    b = cells.view(np.uint8).reshape(len(stamps), cells.itemsize)
+    length = np.count_nonzero(b, axis=1)
+    return bool(
+        _IS_DIGIT[b[:, _DATE_DIGIT_COLUMNS]].all()
+        and (b[:, [4, 7]] == ord("-")).all()
+        and (cells.itemsize == 10 or _IS_SEPARATOR[b[:, 10]].all())
+        and _IS_CLOCK[b[:, 11:]].all()
+        and _IS_DIGIT[b[np.arange(len(stamps)), length - 1]].all()
+    )
+
+
+def _columnar_ticks(lines):
+    """(times, prices) of a chunk of data lines, or None for the row parser.
+
+    Any line the columnar reading might take differently from the row
+    parser sends the whole chunk there: a non-ASCII, NUL or quote
+    character, a bare carriage return, a blank line, a line without exactly
+    one comma, a cell that does not convert, a price that is not finite and
+    positive, or a timestamp outside the form :func:`_iso_stamps_agree`
+    accepts (which includes comment lines and UTC offsets).
+    """
+    text = "".join(lines)
+    if not text.isascii() or '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    rows = text.split("\n")
+    if not rows[-1]:
+        rows.pop()
+    cells = [row.partition(",") for row in rows]
+    try:
+        # a blank row or one without a comma leaves the price cell empty, and
+        # one with more commas leaves one in it; neither converts
+        prices = np.array([c[2] for c in cells], dtype=np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(prices).all() and (prices > 0).all()):
+        return None
+    stamps = [c[0] for c in cells]
+    if not _iso_stamps_agree(stamps):
+        return None
+    with warnings.catch_warnings():
+        # NumPy warns where it reads part of a stamp as a UTC offset
+        warnings.simplefilter("error")
+        try:
+            times = np.array(stamps, dtype="datetime64[us]")
+        except (ValueError, Warning):
+            return None
+    if (times < _FIRST_DAY).any():  # year 0, which datetime rejects
+        return None
+    return times, prices
+
+
+def load_ticks(source):
+    """Load a ``timestamp,price`` CSV into a time-sorted :class:`TickSeries`.
+
+    Rows are read about 64 KB at a time and converted column by column; a
+    chunk holding anything that reading might take differently from the
+    row parser is parsed row by row instead, with the same errors and line
+    numbers.
+    """
+    stream, should_close = _open_text(source)
+    try:
+        lineno = _header(csv.reader(stream), _TICK_HEADER)
+        times, prices = [], []
+        while lines := stream.readlines(_PARSE_CHUNK_CHARS):
+            chunk = _columnar_ticks(lines)
+            if chunk is None:
+                *chunk, lineno = _row_ticks(lines, stream, lineno)
+            else:
+                lineno += len(chunk[0])
+            times.append(chunk[0])
+            prices.append(chunk[1])
+    finally:
+        if should_close:
+            stream.close()
+    times = np.concatenate(times) if times else np.empty(0, dtype="datetime64[us]")
+    prices = np.concatenate(prices) if prices else np.empty(0)
     order = np.argsort(times, kind="stable")
     return TickSeries(times[order], prices[order])
 
@@ -355,18 +619,12 @@ def daily_closes_from_ticks(ticks, calendar):
     """Last tick price of each trading day as a :class:`DailyPriceSeries`."""
     if len(ticks) == 0:
         raise InsufficientDataError("no ticks")
-    days = ticks.times.astype("datetime64[D]")
-    dates, closes = [], []
-    for day64 in np.unique(days):
-        day = day64.astype(date)
-        if not calendar.is_trading_day(day):
-            continue
-        end = np.searchsorted(days, day64, side="right") - 1
-        dates.append(day)
-        closes.append(ticks.prices[end])
-    if not dates:
+    table, last, has_ticks = _trading_days_of(ticks, calendar)
+    if not has_ticks.any():
         raise InsufficientDataError("no ticks on trading days")
-    return DailyPriceSeries(tuple(dates), np.array(closes))
+    return DailyPriceSeries(
+        tuple(table.days[has_ticks].tolist()), ticks.prices[last[has_ticks]]
+    )
 
 
 def _session_grid_us(open_us, close_us, delta_us):
@@ -378,6 +636,19 @@ def _session_grid_us(open_us, close_us, delta_us):
     shorter than delta gives the one [open, close] return.
     """
     return np.append(np.arange(open_us, close_us, delta_us, dtype=np.int64), close_us)
+
+
+def _grid_log_prices(t_int, log_p, midnight_us, offsets):
+    """Previous-tick log prices at ``midnight_us[:, None] + offsets``."""
+    out = np.empty((len(midnight_us), len(offsets)))
+    step = max(1, _BLOCK_ELEMENTS // len(offsets))
+    for lo in range(0, len(midnight_us), step):
+        idx = np.searchsorted(
+            t_int, midnight_us[lo : lo + step, None] + offsets, side="right"
+        )
+        idx -= 1
+        log_p.take(idx, out=out[lo : lo + step])
+    return out
 
 
 def resample_grid(ticks, calendar, delta_seconds):
@@ -398,47 +669,26 @@ def resample_grid(ticks, calendar, delta_seconds):
     if delta_us <= 0:
         raise DomainError("delta_seconds is below timestamp resolution")
 
+    table, _, usable = _trading_days_of(ticks, calendar)
     t_int = ticks.times.view(np.int64)
     log_p = np.log(ticks.prices)
-    tick_days = ticks.times.astype("datetime64[D]")
+    for sessions, rows in table.groups:
+        # no tick at or before the first session open of the data set
+        usable[rows] &= table.midnight_us[rows] + sessions[0][0] >= t_int[0]
+    position = np.cumsum(usable) - 1
 
-    first_day = tick_days[0].astype(date)
-    last_day = tick_days[-1].astype(date)
-
-    days, skipped = [], []
-    day = first_day
-    while day <= last_day:
-        sessions = calendar.sessions_for(day)
-        if not sessions:
-            day += timedelta(days=1)
-            continue
-        day64 = np.datetime64(day, "D")
-        lo = np.searchsorted(tick_days, day64, side="left")
-        hi = np.searchsorted(tick_days, day64, side="right")
-        if hi == lo:
-            skipped.append(day)
-            day += timedelta(days=1)
-            continue
-        session_prices = []
-        usable = True
-        for open_dt, close_dt in sessions:
-            grid = _session_grid_us(
-                np.datetime64(open_dt, "us").astype(np.int64),
-                np.datetime64(close_dt, "us").astype(np.int64),
-                delta_us,
+    blocks = []
+    for sessions, rows in table.groups:
+        rows = rows[usable[rows]]
+        if rows.size:
+            grids = [_session_grid_us(o, c, delta_us) for o, c in sessions]
+            log_prices = _grid_log_prices(
+                t_int, log_p, table.midnight_us[rows], np.concatenate(grids)
             )
-            idx = np.searchsorted(t_int, grid, side="right") - 1
-            if idx[0] < 0:
-                # no tick at or before the first session open of the data set
-                usable = False
-                break
-            session_prices.append(log_p[idx])
-        if usable:
-            days.append(GridDay(day, session_prices))
-        else:
-            skipped.append(day)
-        day += timedelta(days=1)
+            ends = np.cumsum([len(g) for g in grids]).tolist()
+            blocks.append(GridBlock(position[rows], log_prices, ends))
 
+    skipped = table.days[~usable].tolist()
     if skipped:
         logger.warning(
             "skipped %d day(s) without usable ticks: %s",
@@ -446,7 +696,9 @@ def resample_grid(ticks, calendar, delta_seconds):
             ", ".join(d.isoformat() for d in skipped[:5])
             + ("..." if len(skipped) > 5 else ""),
         )
-    return GridPrices(float(delta_seconds), days, skipped)
+    return GridPrices(
+        float(delta_seconds), table.days[usable].tolist(), skipped, blocks
+    )
 
 
 def intraday_returns(grid):
@@ -455,11 +707,9 @@ def intraday_returns(grid):
     Returns a list of (day, returns) pairs.  Returns never span the gap
     between sessions; each session contributes len(grid)-1 differences.
     """
-    out = []
-    for gd in grid.days:
-        parts = [np.diff(a) for a in gd.session_log_prices if a.shape[0] >= 2]
-        values = np.concatenate(parts) if parts else np.empty(0)
-        out.append((gd.day, values))
+    out = [None] * len(grid.dates)
+    for pos, r in grid.day_returns():
+        out[pos] = (grid.dates[pos], r)
     return out
 
 

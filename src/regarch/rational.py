@@ -31,8 +31,10 @@ _LN_PI = math.log(math.pi)
 # quantile iterations stop once F matches p - 1/2, or x moves, by a few ulps
 _RTOL = 4.0 * np.finfo(np.float64).eps
 _MAX_ITER = 100
-# Gauss-Legendre nodes of the fixed second-moment rule
-_N_NODES = 400
+# Gauss-Legendre nodes per panel of the second-moment rule, and its panel
+# breakpoints on either side of t = pi/4 in units of a/4
+_PANEL_NODES = 64
+_PANEL_WIDTHS = np.array([0.25, 1.0, 4.0, 16.0])
 
 
 def _check_a(a):
@@ -159,17 +161,27 @@ def sample(count, a, rng):
 
 
 def variance_check(a):
-    """Second moment by a fixed Gauss-Legendre rule; equals 1 up to
-    integration error.
+    """Second moment by Gauss-Legendre panels; equals 1 up to integration
+    error.
 
     Exposed so callers can confirm the unit-variance normalization that the
     likelihood relies on, rather than trusting it.  Under x = tan(t) the
-    integrand x^2 f(x) (1 + x^2) is smooth and bounded on [0, pi/2].
+    integrand x^2 f(x) (1 + x^2) is smooth and bounded on [0, pi/2], with
+    peaks of width about a/4 next to t = pi/4 (x = 1).  Panels break at
+    0, pi/4, pi/2 and pi/4 +- (a/4) {1/4, 1, 4, 16} inside the interval,
+    so the rule resolves the peaks for small a as well as large.
     """
     a = _check_a(a)
-    nodes, weights = np.polynomial.legendre.leggauss(_N_NODES)
-    t = 0.25 * np.pi * (nodes + 1.0)
+    quarter = 0.25 * np.pi
+    offsets = 0.25 * a * _PANEL_WIDTHS
+    breaks = np.concatenate(
+        ([0.0, quarter, 2.0 * quarter], quarter - offsets, quarter + offsets)
+    )
+    edges = np.unique(np.clip(breaks, 0.0, 2.0 * quarter))
+    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    half = 0.5 * np.diff(edges)
+    t = (edges[:-1] + half)[:, None] + half[:, None] * nodes
     x = np.tan(t)
     x2 = x * x
     integrand = x2 * pdf(x, a) * (1.0 + x2)
-    return 2.0 * 0.25 * np.pi * float(weights @ integrand)
+    return 2.0 * float(half @ (integrand @ weights))

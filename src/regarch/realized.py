@@ -24,7 +24,6 @@ import numpy as np
 from .data import (
     daily_closes_from_ticks,
     daily_log_returns,
-    intraday_returns,
     resample_grid,
     write_csv,
 )
@@ -119,12 +118,12 @@ def realized_variance(day_returns):
 def rv_from_ticks(ticks, calendar, delta_seconds):
     """Resample ticks on session grids and sum squared returns per day."""
     grid = resample_grid(ticks, calendar, delta_seconds)
-    per_day = intraday_returns(grid)
-    if not per_day:
+    if not grid.dates:
         raise InsufficientDataError("no usable days in the tick data")
-    dates = tuple(day for day, _ in per_day)
-    values = np.array([realized_variance(r) for _, r in per_day])
-    return RvSeries(dates, values, float(delta_seconds))
+    values = np.empty(len(grid.dates))
+    for pos, r in grid.day_returns():
+        values[pos] = realized_variance(r)
+    return RvSeries(grid.dates, values, float(delta_seconds))
 
 
 def _align(dates_a, dates_b, what):

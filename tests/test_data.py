@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import warnings
 from datetime import date, datetime, time, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +317,57 @@ class TestDailyClosesFromTicks:
         assert series.dates == (date(2006, 6, 5), date(2006, 6, 12))
         np.testing.assert_allclose(series.closes, [104.0, 106.0])
 
+    @staticmethod
+    def _per_day_closes(ticks, calendar):
+        """The loop over each day with ticks, asking the calendar about each."""
+        days = ticks.times.astype("datetime64[D]")
+        dates, closes = [], []
+        for day64 in np.unique(days):
+            day = day64.astype(date)
+            if not calendar.is_trading_day(day):
+                continue
+            end = np.searchsorted(days, day64, side="right") - 1
+            dates.append(day)
+            closes.append(ticks.prices[end])
+        return tuple(dates), np.array(closes)
+
+    @pytest.mark.parametrize(
+        "cal",
+        [
+            SessionCalendar.tokyo(),
+            SessionCalendar(
+                {
+                    0: ((time(9, 0), time(11, 0)), (time(12, 30), time(15, 0))),
+                    2: ((time(10, 0), time(14, 0)),),
+                    5: ((time(9, 0), time(11, 0)),),
+                },
+                holidays={date(2006, 6, 12), date(2006, 6, 21), date(2006, 7, 1)},
+            ),
+        ],
+        ids=["tokyo", "custom"],
+    )
+    def test_matches_per_day_loop(self, cal):
+        rng = np.random.default_rng(4)
+        # ticks on every day of the week, some days without any, holidays
+        days = np.datetime64("2006-06-01") + np.sort(rng.choice(45, 30, replace=False))
+        times = np.sort(
+            days.repeat(5).astype("datetime64[us]")
+            + rng.integers(0, 86_400_000_000, 150).astype("timedelta64[us]")
+        )
+        ticks = TickSeries(times, rng.uniform(90.0, 110.0, 150))
+        series = daily_closes_from_ticks(ticks, cal)
+        dates, closes = self._per_day_closes(ticks, cal)
+        assert series.dates == dates
+        assert series.closes.tolist() == closes.tolist()
+        tick_days = set(days.tolist())
+        assert {date(2006, 6, 12), date(2006, 6, 21)} <= tick_days  # holidays
+        assert any(d.weekday() == 6 for d in tick_days)
+
+    def test_no_trading_day(self):
+        ticks = _make_ticks([("2006-06-10T10:00:00", 999.0)])  # a Saturday
+        with pytest.raises(InsufficientDataError, match="no ticks on trading days"):
+            daily_closes_from_ticks(ticks, SessionCalendar.tokyo())
+
 
 def _reference_cell(value):
     if isinstance(value, date):
@@ -382,3 +435,204 @@ class TestWriteCsv:
             write_csv(io.StringIO(), ("a", "b"), ([1.0, 2.0], [1.0]))
         with pytest.raises(ValidationError):
             write_csv(io.StringIO(), ("a", "b"), ([1.0],))
+
+
+def _row_load_ticks(source):
+    """The row-by-row tick loader: csv.reader, fromisoformat and float per row."""
+    if isinstance(source, (str, Path)):
+        stream, should_close = open(source, "r", newline="", encoding="utf-8"), True
+    elif isinstance(source, io.TextIOBase):
+        stream, should_close = source, False
+    else:
+        stream, should_close = io.TextIOWrapper(source, encoding="utf-8"), False
+    times, prices = [], []
+    try:
+        header = None
+        for lineno, row in enumerate(csv.reader(stream), start=1):
+            if not row or (row[0].startswith("#") and header is None):
+                continue
+            if header is None:
+                header = [c.strip().lower() for c in row]
+                if header != ["timestamp", "price"]:
+                    raise ParseError(
+                        f"expected header 'timestamp,price', got {','.join(row)!r}",
+                        line=lineno,
+                    )
+                continue
+            if len(row) != 2:
+                raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
+            try:
+                ts = datetime.fromisoformat(row[0].strip())
+            except ValueError as exc:
+                raise ParseError(f"bad timestamp {row[0]!r}", line=lineno) from exc
+            try:
+                price = float(row[1])
+            except ValueError as exc:
+                raise ParseError(f"bad price {row[1]!r}", line=lineno) from exc
+            if not np.isfinite(price) or price <= 0:
+                raise ValidationError(f"non-positive price {row[1]} at {row[0]}")
+            times.append(np.datetime64(ts, "us"))
+            prices.append(price)
+        if header is None:
+            raise ParseError("empty file, missing header")
+    finally:
+        if should_close:
+            stream.close()
+    times = np.array(times, dtype="datetime64[us]")
+    prices = np.array(prices, dtype=np.float64)
+    order = np.argsort(times, kind="stable")
+    return TickSeries(times[order], prices[order])
+
+
+def _outcome(load, make_source):
+    """What ``load`` gives: its arrays as integers, or its error; and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ticks = load(make_source())
+            result = (
+                ticks.times.view(np.int64).tolist(),
+                ticks.prices.view(np.int64).tolist(),
+            )
+        except (ParseError, ValidationError, csv.Error) as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _good_rows(n, start=0):
+    rng = np.random.default_rng(start)
+    base = np.datetime64("2006-06-05T09:00:00", "us")
+    stamps = base + (start + np.arange(n)) * np.timedelta64(61_234_567, "us")
+    return [
+        f"{t},{p!r}"
+        for t, p in zip(
+            np.datetime_as_string(stamps, unit="us").tolist(),
+            (100.0 * np.exp(rng.standard_normal(n) * 0.01)).tolist(),
+        )
+    ]
+
+
+# one line each, put among well-formed rows; the tick loader must treat each
+# exactly as the row parser does
+_ODD_LINES = {
+    "comment": "# a note",
+    "comment_with_comma": "# a,b",
+    "blank": "",
+    "space_separator": "2006-06-05 09:30:00,100.5",
+    "date_only": "2006-06-06,100.5",
+    "hour_only": "2006-06-05T10,100.5",
+    "minutes": "2006-06-05T10:07,100.5",
+    "fraction_0": "2006-06-05T09:30:01,100.5",
+    "fraction_1": "2006-06-05T09:30:01.1,100.5",
+    "fraction_3": "2006-06-05T09:30:01.123,100.5",
+    "fraction_6": "2006-06-05T09:30:01.123456,100.5",
+    "fraction_7": "2006-06-05T09:30:01.1234567,100.5",
+    "offset_plus": "2006-06-05T09:30:00+09:00,100.5",
+    "offset_minus": "2006-06-05T09:30:00-05:00,100.5",
+    "offset_z": "2006-06-05T09:30:00Z,100.5",
+    "basic_format": "20060605T093000,100.5",
+    "lower_case_t": "2006-06-05t09:30:00,100.5",
+    "fractional_minutes": "2006-06-05T09:30.5,100.5",
+    "quoted": '"2006-06-05T09:30:00","100.5"',
+    "quoted_comma": '"2006-06-05T09:30:00","1,5"',
+    "quoted_newline": '"2006-06-05T09:30:00","100.5\n"',
+    "whitespace": "  2006-06-05T09:30:00 , 100.5 ",
+    "tab": "\t2006-06-05T09:30:00\t,\t100.5",
+    "underscore_price": "2006-06-05T09:30:00,1_000",
+    "arabic_digit_price": "2006-06-05T09:30:00,١٠٠",
+    "exponent_price": "2006-06-05T09:30:00,1.005e2",
+    "equal_timestamp": "2006-06-05T09:00:00.000000,99.0",
+    "earliest": "2006-06-01T00:00:00,99.0",
+    "bad_timestamp": "yesterday,100.5",
+    "now": "now,100.5",
+    "today": "today,100.5",
+    "nat": "NaT,100.5",
+    "year_only": "2006,100.5",
+    "year_month": "2006-06,100.5",
+    "year_zero": "0000-01-01,100.5",
+    "trailing_dot": "2006-06-05T09:30:00.,100.5",
+    "leap_second": "2006-06-05T23:59:60,100.5",
+    "hour_24": "2006-06-05T24:00:00,100.5",
+    "empty_timestamp": ",100.5",
+    "bad_price": "2006-06-05T09:30:00,abc",
+    "empty_price": "2006-06-05T09:30:00,",
+    "zero_price": "2006-06-05T09:30:00,0.0",
+    "negative_price": "2006-06-05T09:30:00,-1.0",
+    "nan_price": "2006-06-05T09:30:00,nan",
+    "inf_price": "2006-06-05T09:30:00,inf",
+    "one_field": "2006-06-05T09:30:00",
+    "three_fields": "2006-06-05T09:30:00,100.5,7",
+    "bare_carriage_return": "2006-06-05T09:30:00,100.5\r2006-06-05T09:31:00,100.6",
+    "nul": "2006-06-05T09:30:00\x00,100.5",
+}
+
+
+class TestTickLoaderMatchesRowParser:
+    """``load_ticks`` against ``_row_load_ticks``, with chunks of a few lines."""
+
+    @pytest.fixture(params=[30, 100, 1 << 16], ids=["chunk30", "chunk100", "default"])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(data, "_PARSE_CHUNK_CHARS", request.param)
+        return request.param
+
+    def _check(self, text):
+        fast = _outcome(load_ticks, lambda: io.StringIO(text))
+        assert fast == _outcome(_row_load_ticks, lambda: io.StringIO(text))
+        return fast
+
+    @pytest.mark.parametrize("name", sorted(_ODD_LINES))
+    def test_odd_line(self, chunk, name):
+        # the odd line first, second, mid-file and last, so that with small
+        # chunks it falls on either side of a chunk boundary
+        for at in (0, 1, 5, 12):
+            rows = _good_rows(12)
+            rows.insert(at, _ODD_LINES[name])
+            text = "# seed = 1\ntimestamp,price\n" + "\n".join(rows) + "\n"
+            _, caught = self._check(text)
+            if "offset" not in name:
+                assert caught == []
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_line_endings_and_last_line(self, chunk, ending):
+        rows = ["timestamp,price", *_good_rows(20)]
+        self._check(ending.join(rows) + ending)
+        self._check(ending.join(rows))  # no newline after the last row
+
+    def test_unsorted_and_equal_timestamps_keep_file_order(self, chunk):
+        rows = _good_rows(15)
+        rows = rows[7:] + rows[:7] + [rows[3].split(",")[0] + ",1.5"] * 3
+        (times, prices), _ = self._check("timestamp,price\n" + "\n".join(rows) + "\n")
+        assert prices.count(np.float64(1.5).view(np.int64)) == 3
+
+    def test_header_only_and_empty(self, chunk):
+        self._check("timestamp,price\n")
+        self._check("# only a comment\n")
+        self._check("")
+        self._check("time,price\n2006-06-05T09:30:00,1.0\n")
+
+    def test_path_binary_and_text_sources(self, chunk, tmp_path):
+        rows = _good_rows(30)
+        rows[10] = _ODD_LINES["quoted_newline"]
+        text = "# x\r\ntimestamp,price\r\n" + "\r\n".join(rows) + "\r\n"
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(text.encode("utf-8"))
+        reference = _outcome(_row_load_ticks, lambda: path)
+        assert _outcome(load_ticks, lambda: path) == reference
+        assert _outcome(load_ticks, lambda: str(path)) == reference
+        raw = text.encode("utf-8")
+        assert _outcome(load_ticks, lambda: io.BytesIO(raw)) == _outcome(
+            _row_load_ticks, lambda: io.BytesIO(raw)
+        )
+
+    def test_written_file_takes_the_columnar_path(self, monkeypatch):
+        ticks = TickSeries(
+            np.datetime64("2006-06-05T09:00:00", "us")
+            + np.arange(5000) * np.timedelta64(1_234_567, "us"),
+            np.linspace(100.0, 120.0, 5000),
+        )
+        buf = io.StringIO()
+        data.write_ticks_csv(ticks, buf, comments=("seed = 3",))
+        monkeypatch.setattr(data, "_row_ticks", None)  # any fallback would fail
+        again = load_ticks(io.StringIO(buf.getvalue()))
+        np.testing.assert_array_equal(again.times, ticks.times)
+        np.testing.assert_array_equal(again.prices, ticks.prices)

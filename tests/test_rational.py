@@ -64,8 +64,14 @@ class TestDensity:
 
     @pytest.mark.parametrize("a", [0.7, 1.0, 1.57, 2.0, 4.0])
     def test_unit_variance(self, a):
-        # fixed Gauss-Legendre rule under x = tan(t)
+        # Gauss-Legendre panels under x = tan(t)
         assert rational.variance_check(a) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.3, 0.7, 1.57, 3.0, 10.0, 50.0])
+    def test_unit_variance_to_rounding(self, a):
+        # the peaks next to x = 1 narrow as a/4 in t = arctan x; a single
+        # 400-node rule missed 1 by 5.8e-6 at a = 0.05
+        assert abs(rational.variance_check(a) - 1.0) <= 1e-12
 
     @given(st.floats(-50, 50), st.floats(0.05, 50))
     def test_symmetry_and_positivity(self, x, a):

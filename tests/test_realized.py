@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regarch import data as data_module
 from regarch.data import (
     ReturnSeries,
     SessionCalendar,
     TickSeries,
     daily_closes_from_ticks,
     daily_log_returns,
+    resample_grid,
 )
 from regarch.exceptions import DomainError, InsufficientDataError, ValidationError
 from regarch.garch import VolSeries
@@ -410,3 +412,122 @@ class TestWriters:
         write_signature_csv(SignatureCurve([60.0], [1e-4], [1.0]), out)
         assert out.read_text(encoding="utf-8").startswith("delta_seconds,")
         assert isinstance(out, Path)
+
+
+def _per_day_grid(ticks, calendar, delta_seconds):
+    """The calendar walked one day at a time: (days, session arrays, skipped)."""
+    delta_us = int(round(delta_seconds * 1_000_000))
+    t_int = ticks.times.view(np.int64)
+    log_p = np.log(ticks.prices)
+    tick_days = ticks.times.astype("datetime64[D]")
+    day, last_day = tick_days[0].astype(date), tick_days[-1].astype(date)
+    days, skipped = [], []
+    while day <= last_day:
+        sessions = calendar.sessions_for(day)
+        day64 = np.datetime64(day, "D")
+        lo = np.searchsorted(tick_days, day64, side="left")
+        hi = np.searchsorted(tick_days, day64, side="right")
+        if sessions and hi == lo:
+            skipped.append(day)
+        elif sessions:
+            session_prices = []
+            for open_dt, close_dt in sessions:
+                o = np.datetime64(open_dt, "us").astype(np.int64)
+                c = np.datetime64(close_dt, "us").astype(np.int64)
+                grid = np.append(np.arange(o, c, delta_us, dtype=np.int64), c)
+                idx = np.searchsorted(t_int, grid, side="right") - 1
+                if idx[0] < 0:  # no tick at or before the open
+                    skipped.append(day)
+                    break
+                session_prices.append(log_p[idx])
+            else:
+                days.append((day, session_prices))
+        day += timedelta(days=1)
+    return days, skipped
+
+
+def _per_day_rv(ticks, calendar, delta_seconds):
+    """Each day's returns concatenated session by session, then ``r @ r``."""
+    days, _ = _per_day_grid(ticks, calendar, delta_seconds)
+    values = []
+    for _, sessions in days:
+        r = np.concatenate([np.diff(a) for a in sessions])
+        values.append(float(r @ r))
+    return tuple(d for d, _ in days), np.array(values)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# sessions differ by weekday: Tokyo Monday, Tuesday and Friday, a long
+# Wednesday, a one-session Thursday and a Saturday half-day
+_MIXED_CAL = SessionCalendar(
+    {
+        0: ((time(9, 0), time(11, 0)), (time(12, 30), time(15, 0))),
+        1: ((time(9, 0), time(11, 0)), (time(12, 30), time(15, 0))),
+        2: ((time(9, 0), time(11, 30)), (time(12, 30), time(15, 30))),
+        3: ((time(9, 0), time(15, 0)),),
+        4: ((time(9, 0), time(11, 0)), (time(12, 30), time(15, 0))),
+        5: ((time(9, 0), time(11, 0)),),
+    },
+    holidays={date(2006, 1, 9), date(2006, 1, 18), date(2006, 2, 4)},
+)
+
+
+def _mixed_ticks():
+    """About 60 days of ticks, opening after the first session's open."""
+    rng = np.random.default_rng(11)
+    start = np.datetime64("2006-01-02T09:17:00", "us")  # a Monday, after 09:00
+    offsets = np.sort(rng.integers(0, 60 * 86_400_000_000, 40_000))
+    times = start + offsets.astype("timedelta64[us]")
+    # drop every tick of a few trading days
+    days = times.astype("datetime64[D]")
+    empty = np.array(["2006-01-11", "2006-01-24", "2006-02-14"], dtype="datetime64[D]")
+    keep = ~np.isin(days, empty)
+    prices = 100.0 * np.exp(np.cumsum(rng.standard_normal(40_000) * 1e-3))
+    return TickSeries(times[keep], prices[keep])
+
+
+# 7 min 13 s divides no session; 2.5 h outlasts the 2 h sessions; 7 h every one
+_DELTAS = (30.0, 60.0, 433.0, 1800.0, 9000.0, 25200.0)
+
+
+class TestRvPathMatchesPerDayLoop:
+    """Grids, RV and HL factors equal, bit for bit, to the per-day loop."""
+
+    @pytest.fixture(params=[1, 600, 10**9], ids=["point", "day", "all-days"])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK_ELEMENTS", request.param)
+
+    @pytest.mark.parametrize(
+        "cal", [_MIXED_CAL, SessionCalendar.tokyo()], ids=["mixed", "tokyo"]
+    )
+    def test_resample_grid(self, budget, cal):
+        ticks = _mixed_ticks()
+        for delta in _DELTAS:
+            grid = resample_grid(ticks, cal, delta)
+            days, skipped = _per_day_grid(ticks, cal, delta)
+            assert grid.skipped_days == skipped
+            assert [g.day for g in grid.days] == [d for d, _ in days]
+            for got, (_, want) in zip(grid.days, days):
+                assert len(got.session_log_prices) == len(want)
+                for a, b in zip(got.session_log_prices, want):
+                    assert _bits(a) == _bits(b)
+        assert date(2006, 1, 2) in skipped  # opens before the first tick
+        assert {date(2006, 1, 11), date(2006, 1, 24)} <= set(skipped)
+
+    @pytest.mark.parametrize(
+        "cal", [_MIXED_CAL, SessionCalendar.tokyo()], ids=["mixed", "tokyo"]
+    )
+    def test_rv_and_hl_factors(self, budget, cal):
+        ticks = _mixed_ticks()
+        returns = daily_log_returns(daily_closes_from_ticks(ticks, cal))
+        series = hl_adjusted_rv(ticks, cal, _DELTAS, returns)
+        for delta, adjusted in zip(_DELTAS, series):
+            dates, values = _per_day_rv(ticks, cal, delta)
+            rv = rv_from_ticks(ticks, cal, delta)
+            assert rv.dates == adjusted.dates == dates
+            assert _bits(rv.values) == _bits(adjusted.values) == _bits(values)
+            c = hl_factor(returns, RvSeries(dates, values, delta))
+            assert _bits([adjusted.hl_factor]) == _bits([c])

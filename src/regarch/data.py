@@ -46,7 +46,7 @@ import logging
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, time
 from functools import cached_property
 from pathlib import Path
 
@@ -80,12 +80,29 @@ def _open_text(source):
     return io.TextIOWrapper(source, encoding="utf-8"), False
 
 
+def _numbered(reader, lineno):
+    """Yield (line number, row) pairs, numbering on from ``lineno``.
+
+    A line the CSV reader rejects (such as a bare carriage return inside
+    a line of a text stream) is a :class:`ParseError` at the number the
+    row would have had.
+    """
+    try:
+        for row in reader:
+            lineno += 1
+            yield lineno, row
+    except csv.Error as exc:
+        # csv's message ends in advice on how to open the file; drop it
+        reason = str(exc).partition(" - ")[0]
+        raise ParseError(f"malformed CSV row: {reason}", line=lineno + 1) from exc
+
+
 def _header(reader, expected_header):
     """Consume leading comment and blank rows and the header row.
 
     Returns the header's line number, which the caller continues from.
     """
-    for lineno, row in enumerate(reader, start=1):
+    for lineno, row in _numbered(reader, 0):
         if not row or row[0].startswith("#"):
             continue
         if [c.strip().lower() for c in row] != list(expected_header):
@@ -100,7 +117,7 @@ def _header(reader, expected_header):
 
 def _body_rows(reader, expected_header, lineno):
     """Yield (line_number, row) pairs after the header; skips blank lines."""
-    for lineno, row in enumerate(reader, start=lineno + 1):
+    for lineno, row in _numbered(reader, lineno):
         if not row:
             continue
         if len(row) != len(expected_header):
@@ -292,16 +309,15 @@ class SessionCalendar:
         return bool(self.sessions_for(day))
 
     def trading_days(self, start, count):
-        """First ``count`` trading days on or after ``start``."""
+        """First ``count`` trading days on or after ``start``.
+
+        Raises :class:`DomainError` when no weekday trades.
+        """
         if count < 0:
             raise DomainError("count must be non-negative")
-        days = []
-        day = start
-        while len(days) < count:
-            if self.is_trading_day(day):
-                days.append(day)
-            day += timedelta(days=1)
-        return days
+        if count == 0:
+            return []
+        return _TradingDays.starting(self, start, count).days.tolist()
 
 
 _EPOCH = date(1970, 1, 1)
@@ -331,15 +347,16 @@ class _TradingDays:
     groups: tuple
 
     @classmethod
-    def build(cls, calendar, first, last):
+    def build(cls, calendar, first, last, count=None):
         """The trading days of ``calendar`` from ``first`` to ``last``
-        (``datetime64[D]``), by array operations over the whole range."""
+        (``datetime64[D]``), by array operations over the whole range;
+        only the first ``count`` of them when it is given."""
         span = np.arange(first, last + np.timedelta64(1, "D"))
         weekday = (span.view(np.int64) + 3) % 7  # 1970-01-01 was a Thursday
         holidays = np.array(sorted(calendar.holidays), dtype="datetime64[D]")
         trading = np.isin(weekday, list(calendar.weekday_sessions))
         trading &= ~np.isin(span, holidays)
-        days, weekday = span[trading], weekday[trading]
+        days, weekday = span[trading][:count], weekday[trading][:count]
         by_sessions = {}
         for wd, sessions in calendar.weekday_sessions.items():
             by_sessions.setdefault(sessions, []).append(wd)
@@ -351,6 +368,19 @@ class _TradingDays:
             for sessions, wds in by_sessions.items()
         )
         return cls(days, days.astype("datetime64[us]").view(np.int64), groups)
+
+    @classmethod
+    def starting(cls, calendar, start, count):
+        """The first ``count`` (at least one) trading days on or after the
+        date ``start``."""
+        if not calendar.weekday_sessions:
+            raise DomainError("the calendar has no trading weekday")
+        # every whole week trades each trading weekday once, less at most
+        # one day per holiday
+        weeks = -(-(count + len(calendar.holidays)) // len(calendar.weekday_sessions))
+        first = np.datetime64(start, "D")
+        last = first + np.timedelta64(7 * weeks - 1, "D")
+        return cls.build(calendar, first, last, count)
 
 
 def _trading_days_of(ticks, calendar):

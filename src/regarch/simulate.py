@@ -16,6 +16,12 @@ to 1/(1-f).
 
 Per-day random streams are spawned from the caller's generator, so output
 is reproducible for a given master seed regardless of evaluation order.
+Each day's streams are drawn day by day: its opening gap and then its
+steps from the day's path stream, its observation noise from the day's
+noise stream.  The bridge then runs time-major, one step at a time over
+all the days that share a session layout, with the same scalar formulas
+applied to a value a day; the log price is one running sum over all
+ticks.  Every value is the one a loop over days and ticks gives.
 """
 
 from __future__ import annotations
@@ -27,14 +33,17 @@ from datetime import date
 import numpy as np
 
 from . import rational
-from .data import DailyPriceSeries, ReturnSeries, SessionCalendar, TickSeries
+from .data import (
+    _US_PER_SECOND,
+    DailyPriceSeries,
+    ReturnSeries,
+    SessionCalendar,
+    TickSeries,
+    _TradingDays,
+)
 from .exceptions import DomainError
 from .garch import RATIONAL, GarchParams, VolSeries, check_constraints
 from .realized import NoiseModel
-
-
-def _trading_dates(calendar, start, count):
-    return tuple(calendar.trading_days(start, count))
 
 
 def simulate_garch(params, length, rng, start_date=date(2006, 1, 2), calendar=None):
@@ -67,7 +76,7 @@ def simulate_garch(params, length, rng, start_date=date(2006, 1, 2), calendar=No
         sig2[t] = s
         y[t] = math.sqrt(s) * eps[t]
 
-    dates = _trading_dates(calendar, start_date, length)
+    dates = tuple(calendar.trading_days(start_date, length))
     return ReturnSeries(dates, y), VolSeries(dates, sig2)
 
 
@@ -121,27 +130,36 @@ class IntradaySim:
         return iter((self.ticks, self.daily_prices, self.session_variances))
 
 
-def _session_layout(calendar, day, steps_per_day):
-    """(open_us, dt_us, m_steps) per session, steps roughly length-shared."""
-    sessions = calendar.sessions_for(day)
-    lengths = np.array(
-        [(c - o).total_seconds() for o, c in sessions], dtype=np.float64
-    )
+def _session_layout(sessions, steps_per_day):
+    """Tick layout of a day of ``sessions``, (open, close) in microseconds
+    after midnight.
+
+    Steps are shared out by session length, at least one a session.  A
+    session of m steps of dt seconds has a tick at its open and one after
+    each step.  Returns the ticks' microseconds after midnight, the (tick
+    column of the open, dt, m) of each session, and the summed session
+    length in seconds.
+    """
+    lengths = np.array([c - o for o, c in sessions]) / _US_PER_SECOND
     total = lengths.sum()
-    layout = []
-    for (o, _c), h in zip(sessions, lengths):
+    offsets, layout = [], []
+    col = 0
+    for (open_us, _close_us), h in zip(sessions, lengths):
         m = max(1, int(round(steps_per_day * h / total)))
-        open_us = np.datetime64(o, "us").astype(np.int64)
-        layout.append((open_us, h / m, m))
-    return layout, total
+        dt = h / m
+        steps_us = np.rint(np.arange(1, m + 1) * dt * 1e6).astype(np.int64)
+        offsets += [[open_us], open_us + steps_us]
+        layout.append((col, dt, m))
+        col += m + 1
+    return np.concatenate(offsets), layout, total
 
 
-def _days_total_variance(spec, days, rng):
+def _days_total_variance(spec, days, rng, calendar):
     """Per-day total close-to-close variance plus pinned daily returns."""
     f = spec.overnight_fraction
     if spec.garch is not None:
         ret, vol = simulate_garch(
-            spec.garch, days, rng, start_date=spec.start_date
+            spec.garch, days, rng, start_date=spec.start_date, calendar=calendar
         )
         return vol.values.copy(), ret.values.copy()
     v = np.asarray(spec.day_variances, dtype=np.float64)
@@ -165,71 +183,61 @@ def simulate_intraday(spec, days, rng, calendar=None):
         raise DomainError("days must be at least 1")
     if calendar is None:
         calendar = SessionCalendar.tokyo()
-    dates = _trading_dates(calendar, spec.start_date, days)
-    for day in dates:
-        if not calendar.sessions_for(day):
-            raise DomainError(f"{day.isoformat()} has no sessions")
+    table = _TradingDays.starting(calendar, spec.start_date, days)
+    dates = tuple(table.days.tolist())
 
     day_rng, noise_rng, gap_rng = rng.spawn(3)
     path_rngs = day_rng.spawn(days)
     noise_rngs = noise_rng.spawn(days)
 
     f = spec.overnight_fraction
-    total_var, pinned_returns = _days_total_variance(spec, days, gap_rng)
+    total_var, pinned_returns = _days_total_variance(spec, days, gap_rng, calendar)
     session_var = total_var * (1.0 - f)
     gap_var = total_var * f
 
-    times = []
-    prices = []
-    close_dates = []
-    close_prices = []
-    true_returns = np.empty(days)
+    groups = [
+        (_session_layout(sessions, spec.steps_per_day), rows)
+        for sessions, rows in table.groups
+    ]
+    day_ticks = np.empty(days, dtype=np.int64)
+    for (offsets, _, _), rows in groups:
+        day_ticks[rows] = offsets.size
+    ends = np.cumsum(day_ticks)
+    starts = ends - day_ticks
+    times = np.empty(ends[-1], dtype=np.int64)
+    # what each tick adds to the log price: the gap at a day's first open,
+    # nothing at a later open, a step after it; summed in place below
+    path = np.empty(ends[-1])
 
-    ln_p = math.log(spec.start_price)
-    for d, day in enumerate(dates):
-        prev_close = ln_p
-        gap = 0.0
-        if d > 0 and gap_var[d] > 0.0:
-            gap = math.sqrt(gap_var[d]) * path_rngs[d].standard_normal()
-        ln_p = prev_close + gap
-
-        layout, total_len = _session_layout(calendar, day, spec.steps_per_day)
-        n_steps = sum(m for _, _, m in layout)
-        rate = session_var[d] / total_len  # spot variance per second
-
+    for (offsets, layout, total_len), rows in groups:
+        block = _draw_days(layout, offsets.size, rows, path_rngs, gap_var)
+        rate = session_var[rows] / total_len  # spot variance per second
         if pinned_returns is None:
-            increments = _free_increments(layout, rate, path_rngs[d])
+            _free_increments(block, layout, rate)
         else:
-            target = pinned_returns[d] - gap
-            increments = _bridge_increments(
-                layout, rate, target, total_len, path_rngs[d]
-            )
+            target = pinned_returns[rows] - block[:, 0]
+            _bridge_increments(block, layout, rate, target, total_len)
+        width = offsets.size
+        for i, (d, start) in enumerate(zip(rows.tolist(), starts[rows].tolist())):
+            path[start : start + width] = block[i]
+            np.add(offsets, table.midnight_us[d], out=times[start : start + width])
+        del block
 
-        day_times = np.empty(n_steps + len(layout), dtype=np.int64)
-        day_true = np.empty(n_steps + len(layout))
-        pos = 0
-        inc_pos = 0
-        for open_us, dt, m in layout:
-            day_times[pos] = open_us
-            day_true[pos] = ln_p
-            pos += 1
-            for k in range(1, m + 1):
-                ln_p += increments[inc_pos]
-                inc_pos += 1
-                day_times[pos] = open_us + int(round(k * dt * 1e6))
-                day_true[pos] = ln_p
-                pos += 1
+    path[0] = math.log(spec.start_price)
+    np.cumsum(path, out=path)  # left to right, as a running sum would
+    closes = path[ends - 1]
+    true_returns = closes - np.append(path[0], closes[:-1])
 
-        xi = noise_rngs[d].standard_normal(pos) * math.sqrt(spec.noise.rho2)
-        observed = np.exp(day_true + xi)
-        times.append(day_times.view("datetime64[us]"))
-        prices.append(observed)
-        close_dates.append(day)
-        close_prices.append(observed[-1])
-        true_returns[d] = ln_p - prev_close
+    noise = np.empty(path.size)
+    for d, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        noise_rngs[d].standard_normal(out=noise[start:end])
+    noise *= math.sqrt(spec.noise.rho2)
+    path += noise
+    del noise
+    prices = np.exp(path, out=path)
 
-    ticks = TickSeries(np.concatenate(times), np.concatenate(prices))
-    daily = DailyPriceSeries(tuple(close_dates), np.array(close_prices))
+    ticks = TickSeries(times.view("datetime64[us]"), prices)
+    daily = DailyPriceSeries(dates, prices[ends - 1])
     return IntradaySim(
         ticks=ticks,
         daily_prices=daily,
@@ -240,38 +248,50 @@ def simulate_intraday(spec, days, rng, calendar=None):
     )
 
 
-def _free_increments(layout, rate, rng):
-    """Independent Gaussian steps with variance rate * dt."""
-    parts = []
-    for _open_us, dt, m in layout:
-        sd = math.sqrt(rate * dt)
-        parts.append(rng.standard_normal(m) * sd)
-    return np.concatenate(parts)
+def _draw_days(layout, width, rows, path_rngs, gap_var):
+    """The path draws of the days ``rows``, a row a day of ``width`` ticks.
+
+    A day draws its opening gap first, into the first open's column (zero
+    on the first day or without gap variance), and then its steps into the
+    columns after each open.  A later session's open column stays zero.
+    """
+    block = np.zeros((rows.size, width))
+    for i, d in enumerate(rows.tolist()):
+        stream = path_rngs[d]
+        if d > 0 and gap_var[d] > 0.0:
+            block[i, 0] = math.sqrt(gap_var[d]) * stream.standard_normal()
+        for col, _dt, m in layout:
+            stream.standard_normal(out=block[i, col + 1 : col + 1 + m])
+    return block
 
 
-def _bridge_increments(layout, rate, target, total_len, rng):
+def _free_increments(block, layout, rate):
+    """Independent Gaussian steps with variance rate * dt: the draws in
+    ``block`` (a row a day, ``rate`` a value a row) scaled in place."""
+    for col, dt, m in layout:
+        block[:, col + 1 : col + 1 + m] *= np.sqrt(rate * dt)[:, None]
+
+
+def _bridge_increments(block, layout, rate, target, total_len):
     """Brownian bridge steps hitting ``target`` over the session time.
 
     Sequential conditioning: with remaining target R and remaining time
     tau, a step of length dt is N(R dt / tau, rate * dt * (tau - dt) / tau).
-    The final step is set to the exact remainder.
+    The final step is set to the exact remainder.  ``block`` holds a row a
+    day with the draws in the step columns, which the steps overwrite;
+    ``rate`` and ``target`` hold a value a row.  tau is the same on every
+    day, so the recursion runs a step at a time over all rows at once.
     """
-    steps = np.concatenate(
-        [np.full(m, dt) for _open_us, dt, m in layout]
-    )
-    n = steps.shape[0]
-    z = rng.standard_normal(n)
-    increments = np.empty(n)
-    remaining_target = target
+    steps = [(col + k, dt) for col, dt, m in layout for k in range(1, m + 1)]
+    remaining_target = target.copy()
     remaining_time = total_len
-    for i in range(n):
-        dt = steps[i]
-        if i == n - 1:
-            increments[i] = remaining_target
-            break
+    for col, dt in steps[:-1]:
         mean = remaining_target * dt / remaining_time
-        var = rate * dt * (remaining_time - dt) / remaining_time
-        increments[i] = mean + math.sqrt(max(var, 0.0)) * z[i]
-        remaining_target -= increments[i]
+        sd = rate * dt * (remaining_time - dt) / remaining_time
+        np.sqrt(np.maximum(sd, 0.0, out=sd), out=sd)
+        sd *= block[:, col]
+        mean += sd
+        block[:, col] = mean
+        remaining_target -= mean
         remaining_time -= dt
-    return increments
+    block[:, steps[-1][0]] = remaining_target

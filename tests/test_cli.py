@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, artifacts, and byte determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -152,6 +153,39 @@ class TestInvocationRecord:
         assert cli._comment_lines(invocation) == lines
 
 
+# (arguments, sha256 of daily.csv, ticks.csv and truth.csv)
+_SIMULATE_GOLDEN = {
+    "garch-re": (
+        ["--days", "30", "--steps-per-day", "40", "--model", "garch-re",
+         "--omega", "2.8e-4", "--alpha", "0.132", "--beta", "0.768",
+         "--a", "1.57", "--rho2", "5e-7", "--seed", "5"],
+        ["5c06b99ac1873282b432aa2396364d296036b985a0cd73880feaf577c6f5135d",
+         "aa8a6f7d32843441b7ef5abf045fb0a62fb416413275305e39eb4c42b6ba1dd6",
+         "a13a135cee8aaf04aeb4c292ea2bce12a66dd3de62e315605230461814739d9d"],
+    ),
+    "garch-n-overnight": (
+        ["--days", "25", "--steps-per-day", "37", "--model", "garch-n",
+         "--overnight-fraction", "0.3", "--rho2", "2.5e-7", "--seed", "11"],
+        ["e5bb16b6823ed5e9122cd292a007077360043dc5d0da5d1842715aa0ad42b80c",
+         "e21fc6101f18c0cbb9b968f9d36ada363faea2fc0cda7a62babf52cc5878dab3",
+         "cc09caf1357d84c20ea45b420ffc5904cca529ae827a81a5580685ac8b0a2089"],
+    ),
+    "day-variance": (
+        ["--days", "20", "--steps-per-day", "1", "--day-variance", "1e-4",
+         "--overnight-fraction", "0.5", "--seed", "2"],
+        ["dd885f00dc8ec755d1d2e7439fb179db8d5f2e5b0699b5a87d194602d8286c31",
+         "11629327f27250a6a3091dcf02c5738efeb13e9134bcd601fc6910a4d0ec97f6",
+         "6aaa489ffa8423405d0a8c74238cf782ee5a6c30c6a5ccb86362f7544c4ba021"],
+    ),
+    "one-day": (
+        ["--days", "1", "--steps-per-day", "400", "--seed", "7"],
+        ["b5494ab2f96c8d5e3eaac82f807c87b88098f9910e994846320b6f04f860ca57",
+         "f5d4b0a6beaef725f61e41fe4bb5d0b98b6b76e7fa437985b6e216d0b702ee04",
+         "c99e5d01f5405fb1cb4b48b56fb24900855155e0cbf58964ae496454b7c0043d"],
+    ),
+}  # fmt: skip
+
+
 class TestSimulate:
     def test_artifacts(self, market):
         for name in ("daily.csv", "ticks.csv", "truth.csv"):
@@ -207,6 +241,23 @@ class TestSimulate:
     def test_invalid_days(self, tmp_path, capsys):
         assert cli.main(["simulate", "--days", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_calendar_without_trading_weekday(self, tmp_path, capsys):
+        cal_path = tmp_path / "cal.json"
+        cal_path.write_text(json.dumps({"weekday_sessions": {}}))
+        args = ["simulate", "--days", "5", "--calendar", str(cal_path)]
+        assert cli.main(args + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert "no trading weekday" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(_SIMULATE_GOLDEN))
+    def test_golden_artifacts(self, case, tmp_path, capsys):
+        # the same seed writes the same bytes, release after release; the
+        # digests depend on NumPy's exp, and were recorded with NumPy 2.4
+        # on x86-64
+        argv, digests = _SIMULATE_GOLDEN[case]
+        assert cli.main(["simulate", *argv, "--out-dir", str(tmp_path)]) == 0
+        for name, digest in zip(("daily.csv", "ticks.csv", "truth.csv"), digests):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestFit:

@@ -78,6 +78,21 @@ class TestDailyLoader:
         with pytest.raises(ParseError, match="missing header"):
             load_daily_prices(_csv(""))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("date,close\n2006-01-04,1.0\r2006-01-05,2.0\n", 2),
+            ("# a note\ndate,close\r2006-01-04,1.0\n", 2),
+        ],
+        ids=["body", "header"],
+    )
+    def test_bare_carriage_return_is_a_parse_error(self, text, line):
+        # a text stream does not end a line at a lone "\r"; the CSV reader
+        # rejects the row
+        with pytest.raises(ParseError, match="new-line character") as err:
+            load_daily_prices(_csv(text))
+        assert err.value.line == line
+
 
 class TestTickLoader:
     def test_round_trip_and_sorting(self):
@@ -185,6 +200,33 @@ class TestCalendar:
         cal = SessionCalendar.tokyo()
         days = cal.trading_days(date(2006, 6, 2), 3)  # Friday start
         assert days == [date(2006, 6, 2), date(2006, 6, 5), date(2006, 6, 6)]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 40, 400])
+    @pytest.mark.parametrize("start", [date(2006, 1, 2), date(2006, 1, 7)])
+    def test_trading_days_match_day_by_day_walk(self, start, count):
+        # a Wednesday and a Saturday, holidays in a run and on a Saturday
+        sessions = ((time(9, 0), time(11, 0)),)
+        holidays = {date(2006, 1, 3) + timedelta(days=k) for k in (0, 1, 2, 11)}
+        holidays |= {date(2006, 2, 4), date(2005, 12, 30)}
+        cal = SessionCalendar({2: sessions, 5: sessions}, holidays)
+        walk, day = [], start
+        while len(walk) < count:
+            if cal.is_trading_day(day):
+                walk.append(day)
+            day += timedelta(days=1)
+        days = cal.trading_days(start, count)
+        assert days == walk
+        assert all(type(d) is date for d in days)
+
+    def test_trading_days_without_a_trading_weekday(self):
+        cal = SessionCalendar({})
+        with pytest.raises(DomainError, match="no trading weekday"):
+            cal.trading_days(date(2006, 1, 2), 1)
+        assert cal.trading_days(date(2006, 1, 2), 0) == []
+
+    def test_trading_days_count_validated(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            SessionCalendar.tokyo().trading_days(date(2006, 1, 2), -1)
 
 
 def _make_ticks(rows):
@@ -448,31 +490,38 @@ def _row_load_ticks(source):
     times, prices = [], []
     try:
         header = None
-        for lineno, row in enumerate(csv.reader(stream), start=1):
-            if not row or (row[0].startswith("#") and header is None):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in row]
-                if header != ["timestamp", "price"]:
-                    raise ParseError(
-                        f"expected header 'timestamp,price', got {','.join(row)!r}",
-                        line=lineno,
-                    )
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-            try:
-                ts = datetime.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ParseError(f"bad timestamp {row[0]!r}", line=lineno) from exc
-            try:
-                price = float(row[1])
-            except ValueError as exc:
-                raise ParseError(f"bad price {row[1]!r}", line=lineno) from exc
-            if not np.isfinite(price) or price <= 0:
-                raise ValidationError(f"non-positive price {row[1]} at {row[0]}")
-            times.append(np.datetime64(ts, "us"))
-            prices.append(price)
+        reader = csv.reader(stream)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (row[0].startswith("#") and header is None):
+                    continue
+                if header is None:
+                    header = [c.strip().lower() for c in row]
+                    if header != ["timestamp", "price"]:
+                        raise ParseError(
+                            f"expected header 'timestamp,price', got {','.join(row)!r}",
+                            line=lineno,
+                        )
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
+                try:
+                    ts = datetime.fromisoformat(row[0].strip())
+                except ValueError as exc:
+                    raise ParseError(f"bad timestamp {row[0]!r}", line=lineno) from exc
+                try:
+                    price = float(row[1])
+                except ValueError as exc:
+                    raise ParseError(f"bad price {row[1]!r}", line=lineno) from exc
+                if not np.isfinite(price) or price <= 0:
+                    raise ValidationError(f"non-positive price {row[1]} at {row[0]}")
+                times.append(np.datetime64(ts, "us"))
+                prices.append(price)
+        except csv.Error as exc:  # a bare carriage return in a text stream
+            reason = str(exc).partition(" - ")[0]
+            raise ParseError(
+                f"malformed CSV row: {reason}", line=reader.line_num
+            ) from exc
         if header is None:
             raise ParseError("empty file, missing header")
     finally:

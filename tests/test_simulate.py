@@ -1,7 +1,8 @@
 """Simulator oracles: GARCH moments, bridge pinning, noise MA(1), HL."""
 
 import io
-from datetime import date
+import math
+from datetime import date, time, timedelta
 
 import numpy as np
 import pytest
@@ -250,3 +251,155 @@ class TestCsvRoundTrip:
         ticks = load_ticks(buf)
         np.testing.assert_array_equal(ticks.times, sim.ticks.times)
         np.testing.assert_array_equal(ticks.prices, sim.ticks.prices)
+
+
+def _per_day_loop(spec, days, rng, calendar):
+    """The simulator as a loop over days and ticks, the reference for
+    :func:`simulate_intraday`: (dates, tick times as integers, tick prices,
+    closes, true returns, session variances, total variances)."""
+    dates, day = [], spec.start_date
+    while len(dates) < days:
+        if calendar.is_trading_day(day):
+            dates.append(day)
+        day += timedelta(days=1)
+
+    day_rng, noise_rng, gap_rng = rng.spawn(3)
+    path_rngs = day_rng.spawn(days)
+    noise_rngs = noise_rng.spawn(days)
+    f = spec.overnight_fraction
+    if spec.garch is not None:
+        ret, vol = simulate_garch(spec.garch, days, gap_rng, start_date=spec.start_date)
+        total_var, pinned = vol.values.copy(), ret.values.copy()
+    else:
+        v = np.asarray(spec.day_variances, dtype=np.float64)
+        total_var = (np.full(days, float(v)) if v.ndim == 0 else v) / (1.0 - f)
+        pinned = None
+    session_var = total_var * (1.0 - f)
+    gap_var = total_var * f
+
+    times, prices, closes = [], [], []
+    true_returns = np.empty(days)
+    ln_p = math.log(spec.start_price)
+    for d, day in enumerate(dates):
+        prev_close = ln_p
+        stream = path_rngs[d]
+        gap = 0.0
+        if d > 0 and gap_var[d] > 0.0:
+            gap = math.sqrt(gap_var[d]) * stream.standard_normal()
+        ln_p = prev_close + gap
+
+        sessions = calendar.sessions_for(day)
+        lengths = np.array([(c - o).total_seconds() for o, c in sessions])
+        total_len = lengths.sum()
+        layout = []
+        for (o, _c), h in zip(sessions, lengths):
+            m = max(1, int(round(spec.steps_per_day * h / total_len)))
+            layout.append((np.datetime64(o, "us").astype(np.int64), h / m, m))
+        rate = session_var[d] / total_len
+
+        if pinned is None:
+            increments = np.concatenate(
+                [stream.standard_normal(m) * math.sqrt(rate * dt) for _, dt, m in layout]
+            )
+        else:
+            steps = np.concatenate([np.full(m, dt) for _, dt, m in layout])
+            z = stream.standard_normal(steps.size)
+            increments = np.empty(steps.size)
+            remaining_target, remaining_time = pinned[d] - gap, total_len
+            for i, dt in enumerate(steps):
+                if i == steps.size - 1:
+                    increments[i] = remaining_target
+                    break
+                mean = remaining_target * dt / remaining_time
+                var = rate * dt * (remaining_time - dt) / remaining_time
+                increments[i] = mean + math.sqrt(max(var, 0.0)) * z[i]
+                remaining_target -= increments[i]
+                remaining_time -= dt
+
+        day_true = []
+        steps = iter(increments)
+        for open_us, dt, m in layout:
+            times.append(open_us)
+            day_true.append(ln_p)
+            for k in range(1, m + 1):
+                ln_p += next(steps)
+                times.append(open_us + int(round(k * dt * 1e6)))
+                day_true.append(ln_p)
+        xi = noise_rngs[d].standard_normal(len(day_true)) * math.sqrt(spec.noise.rho2)
+        observed = np.exp(np.array(day_true) + xi)
+        prices.append(observed)
+        closes.append(observed[-1])
+        true_returns[d] = ln_p - prev_close
+    return (
+        tuple(dates),
+        np.array(times),
+        np.concatenate(prices),
+        np.array(closes),
+        true_returns,
+        session_var,
+        total_var,
+    )
+
+
+_MORNING = (time(9, 0), time(11, 0))
+# sessions differ by weekday: three on Friday, one on Wednesday, a Saturday
+# half-day; holidays on a Wednesday, a Thursday and a Friday
+_UNEVEN_CAL = SessionCalendar(
+    {
+        0: (_MORNING, (time(12, 30), time(15, 0))),
+        1: ((time(9, 0), time(11, 30)), (time(12, 30), time(15, 10))),
+        2: ((time(10, 0), time(14, 0)),),
+        3: (_MORNING, (time(12, 30), time(15, 0))),
+        4: ((time(8, 15), time(11, 0)), (time(12, 0), time(13, 0)),
+            (time(13, 30), time(15, 0))),
+        5: (_MORNING,),
+    },
+    holidays={date(2006, 1, 4), date(2006, 1, 5), date(2006, 1, 13)},
+)  # fmt: skip
+_DAYS = 24
+
+
+def _law_spec(law, steps, f):
+    """A spec with the day levels from ``law``: a GARCH error law, one
+    in-session variance for every day, or one a day with zeros among them."""
+    noise = NoiseModel(2.5e-7)
+    if law == "garch-n":
+        return DiffusionSpec(steps, garch=_GARCH, noise=noise, overnight_fraction=f)
+    if law == "garch-re":
+        params = GarchParams(2.8e-4, 0.132, 0.768, RATIONAL, a=1.57)
+        return DiffusionSpec(steps, garch=params, noise=noise, overnight_fraction=f)
+    if law == "scalar":
+        return DiffusionSpec(steps, day_variances=1e-4, noise=noise, overnight_fraction=f)
+    levels = np.linspace(0.0, 3e-4, _DAYS)
+    levels[::5] = 0.0
+    return DiffusionSpec(steps, day_variances=levels, noise=noise, overnight_fraction=f)
+
+
+class TestIntradayMatchesPerDayLoop:
+    """``simulate_intraday`` bit for bit against the loop over days and ticks."""
+
+    def _check(self, spec, days, calendar, seed):
+        sim = simulate_intraday(spec, days, np.random.default_rng(seed), calendar)
+        dates, times, prices, closes, true_returns, session_var, total_var = (
+            _per_day_loop(spec, days, np.random.default_rng(seed), calendar)
+        )
+        assert sim.dates == dates
+        assert sim.daily_prices.dates == dates
+        assert np.array_equal(sim.ticks.times.view(np.int64), times)
+        assert np.array_equal(sim.ticks.prices, prices)
+        assert np.array_equal(sim.daily_prices.closes, closes)
+        assert np.array_equal(sim.true_daily_returns, true_returns)
+        assert np.array_equal(sim.session_variances, session_var)
+        assert np.array_equal(sim.total_variances, total_var)
+
+    @pytest.mark.parametrize("law", ["garch-n", "garch-re", "scalar", "per-day"])
+    @pytest.mark.parametrize("f", [0.0, 0.3])
+    @pytest.mark.parametrize("steps", [1, 37, 400])
+    @pytest.mark.parametrize("calendar", [_CAL, _UNEVEN_CAL], ids=["tokyo", "uneven"])
+    def test_matches(self, calendar, steps, f, law):
+        self._check(_law_spec(law, steps, f), _DAYS, calendar, seed=steps + int(10 * f))
+
+    @pytest.mark.parametrize("law", ["garch-re", "scalar"])
+    @pytest.mark.parametrize("calendar", [_CAL, _UNEVEN_CAL], ids=["tokyo", "uneven"])
+    def test_one_day(self, calendar, law):
+        self._check(_law_spec(law, 37, 0.3), 1, calendar, seed=4)

@@ -221,7 +221,7 @@ def simulate_intraday(spec, days, rng, calendar=None):
         for i, (d, start) in enumerate(zip(rows.tolist(), starts[rows].tolist())):
             path[start : start + width] = block[i]
             np.add(offsets, table.midnight_us[d], out=times[start : start + width])
-        del block
+        del block  # before the next block or the noise is allocated
 
     path[0] = math.log(spec.start_price)
     np.cumsum(path, out=path)  # left to right, as a running sum would
@@ -233,7 +233,7 @@ def simulate_intraday(spec, days, rng, calendar=None):
         noise_rngs[d].standard_normal(out=noise[start:end])
     noise *= math.sqrt(spec.noise.rho2)
     path += noise
-    del noise
+    del noise  # before TickSeries validates the ticks
     prices = np.exp(path, out=path)
 
     ticks = TickSeries(times.view("datetime64[us]"), prices)

@@ -80,27 +80,32 @@ def _open_text(source):
     return io.TextIOWrapper(source, encoding="utf-8"), False
 
 
-def _numbered(reader, lineno):
-    """Yield (line number, row) pairs, numbering on from ``lineno``.
+def _numbered(reader, lines_before):
+    """Yield (line number, row) pairs, each row numbered by the physical
+    line it starts on; ``lines_before`` lines were read before ``reader``
+    started.
 
     A line the CSV reader rejects (such as a bare carriage return inside
-    a line of a text stream) is a :class:`ParseError` at the number the
-    row would have had.
+    a line of a text stream) is a :class:`ParseError` at the line its row
+    starts on.
     """
+    read = reader.line_num
     try:
         for row in reader:
-            lineno += 1
-            yield lineno, row
+            yield lines_before + read + 1, row
+            read = reader.line_num
     except csv.Error as exc:
         # csv's message ends in advice on how to open the file; drop it
         reason = str(exc).partition(" - ")[0]
-        raise ParseError(f"malformed CSV row: {reason}", line=lineno + 1) from exc
+        raise ParseError(
+            f"malformed CSV row: {reason}", line=lines_before + read + 1
+        ) from exc
 
 
 def _header(reader, expected_header):
     """Consume leading comment and blank rows and the header row.
 
-    Returns the header's line number, which the caller continues from.
+    Returns the number of lines read, which the caller continues from.
     """
     for lineno, row in _numbered(reader, 0):
         if not row or row[0].startswith("#"):
@@ -111,13 +116,13 @@ def _header(reader, expected_header):
                 f"got {','.join(row)!r}",
                 line=lineno,
             )
-        return lineno
+        return reader.line_num
     raise ParseError("empty file, missing header")
 
 
-def _body_rows(reader, expected_header, lineno):
+def _body_rows(reader, expected_header, lines_before):
     """Yield (line_number, row) pairs after the header; skips blank lines."""
-    for lineno, row in _numbered(reader, lineno):
+    for lineno, row in _numbered(reader, lines_before):
         if not row:
             continue
         if len(row) != len(expected_header):
@@ -136,8 +141,8 @@ def _rows(source, expected_header):
     stream, should_close = _open_text(source)
     try:
         reader = csv.reader(stream)
-        lineno = _header(reader, expected_header)
-        yield from _body_rows(reader, expected_header, lineno)
+        _header(reader, expected_header)
+        yield from _body_rows(reader, expected_header, 0)
     finally:
         if should_close:
             stream.close()
@@ -511,16 +516,16 @@ _IS_CLOCK[list(b":.\0")] = True
 _FIRST_DAY = np.datetime64("0001-01-01", "us")
 
 
-def _row_ticks(lines, stream, lineno):
-    """Parse a chunk row by row, continuing the line count from ``lineno``.
+def _row_ticks(lines, stream, lines_before):
+    """Parse a chunk row by row, numbering lines on from ``lines_before``.
 
-    Returns (times, prices, lineno of the last row read).  A quoted field
-    may run past the chunk's last line; the reader then reads on into
-    ``stream`` to the end of that record.
+    Returns (times, prices, number of lines read).  A quoted field may run
+    past the chunk's last line; the reader then reads on into ``stream`` to
+    the end of that record, and those lines count as read.
     """
     reader = csv.reader(itertools.chain(lines, stream))
     times, prices = [], []
-    for lineno, row in _body_rows(reader, _TICK_HEADER, lineno):
+    for lineno, row in _body_rows(reader, _TICK_HEADER, lines_before):
         try:
             ts = datetime.fromisoformat(row[0].strip())
         except ValueError as exc:
@@ -535,7 +540,7 @@ def _row_ticks(lines, stream, lineno):
         prices.append(price)
         if reader.line_num >= len(lines):
             break
-    return np.array(times, dtype="datetime64[us]"), np.array(prices), lineno
+    return np.array(times, dtype="datetime64[us]"), np.array(prices), reader.line_num
 
 
 def _iso_stamps_agree(stamps):
@@ -618,14 +623,15 @@ def load_ticks(source):
     """
     stream, should_close = _open_text(source)
     try:
-        lineno = _header(csv.reader(stream), _TICK_HEADER)
+        lines_read = _header(csv.reader(stream), _TICK_HEADER)
         times, prices = [], []
         while lines := stream.readlines(_PARSE_CHUNK_CHARS):
             chunk = _columnar_ticks(lines)
             if chunk is None:
-                *chunk, lineno = _row_ticks(lines, stream, lineno)
+                *chunk, read = _row_ticks(lines, stream, lines_read)
+                lines_read += read
             else:
-                lineno += len(chunk[0])
+                lines_read += len(lines)
             times.append(chunk[0])
             prices.append(chunk[1])
     finally:

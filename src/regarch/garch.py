@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import recursions_python as _kernels
 from .exceptions import DomainError, NumericalError
-
-try:
-    from regarch import recursions as _kernels
-
-    HAS_COMPILED_KERNELS = True
-except ImportError:  # extension not built; numpy fallback
-    from regarch import recursions_python as _kernels
-
-    HAS_COMPILED_KERNELS = False
 
 NORMAL = "normal"
 RATIONAL = "rational"
@@ -213,16 +205,10 @@ def log_likelihoods(thetas, law, returns, init_variance=None):
     values = np.ascontiguousarray(returns.values, dtype=np.float64)
     out = np.full(thetas.shape[0], -math.inf)
     valid = (np.isfinite(thetas) & (thetas > 0.0)).all(axis=1)
-    if HAS_COMPILED_KERNELS:
-        # the extension scores one point per call
-        kernel = _kernels.rational_loglik if law == RATIONAL else _kernels.normal_loglik
-        scores = [kernel(*row, values, init) for row in thetas[valid].tolist()]
-        out[valid] = [ll if bad < 0 else -math.inf for ll, bad in scores]
-    else:
-        block = (
-            _kernels.rational_loglik_block
-            if law == RATIONAL
-            else _kernels.normal_loglik_block
-        )
-        out[valid] = block(*np.ascontiguousarray(thetas[valid].T), values, init)
+    block = (
+        _kernels.rational_loglik_block
+        if law == RATIONAL
+        else _kernels.normal_loglik_block
+    )
+    out[valid] = block(*np.ascontiguousarray(thetas[valid].T), values, init)
     return out

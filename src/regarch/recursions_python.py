@@ -1,11 +1,11 @@
-"""Pure NumPy fallback for the compiled recursion kernels.
+"""The variance-recursion and likelihood kernels of :mod:`regarch.garch`.
 
-Same call signatures and return conventions as ``regarch.recursions``; used
-when that extension is not built.  The scalar kernels run the variance
-recursion as a plain float loop and the likelihood terms as array
-operations.  The block kernels score many parameter points at once: the
-recursion runs time-major, vectorised across the points, and the terms are
-summed row by row, so each row is bit for bit the scalar kernel's result.
+The scalar kernels run the variance recursion as a plain float loop and the
+likelihood terms as NumPy array operations, summed pairwise by
+``ndarray.sum``.  The block kernels score many parameter points at once:
+the recursion runs time-major, vectorised across the points, and the terms
+are summed row by row, so each row is bit for bit the scalar kernel's
+result.
 """
 
 import numpy as np

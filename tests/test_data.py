@@ -64,6 +64,13 @@ class TestDailyLoader:
             load_daily_prices(_csv("date,close\n2006-01-04,abc\n"))
         assert err.value.line == 2
 
+    def test_line_numbers_count_physical_lines(self):
+        # the quoted close on line 2 runs on to line 3
+        src = _csv('date,close\n"2006-06-05","100.5\n"\n2006-06-06,abc\n')
+        with pytest.raises(ParseError) as err:
+            load_daily_prices(src)
+        assert err.value.line == 4
+
     def test_duplicate_date_rejected(self):
         src = _csv("date,close\n2006-01-04,1.0\n2006-01-04,2.0\n")
         with pytest.raises(ValidationError, match="duplicate"):
@@ -109,6 +116,16 @@ class TestTickLoader:
     def test_bad_timestamp(self):
         with pytest.raises(ParseError, match="line 2"):
             load_ticks(_csv("timestamp,price\nyesterday,1.0\n"))
+
+    def test_line_numbers_count_physical_lines(self):
+        # the quoted price on line 2 runs on to line 3
+        src = _csv(
+            'timestamp,price\n"2006-06-05T09:30:00","100.5\n"\n'
+            "2006-06-05T09:31:00,abc\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_ticks(src)
+        assert err.value.line == 4
 
     def test_non_positive_price(self):
         with pytest.raises(ValidationError):
@@ -491,8 +508,11 @@ def _row_load_ticks(source):
     try:
         header = None
         reader = csv.reader(stream)
+        read = 0
         try:
-            for lineno, row in enumerate(reader, start=1):
+            for row in reader:
+                # a row's number is the physical line it starts on
+                lineno, read = read + 1, reader.line_num
                 if not row or (row[0].startswith("#") and header is None):
                     continue
                 if header is None:
@@ -640,6 +660,16 @@ class TestTickLoaderMatchesRowParser:
             _, caught = self._check(text)
             if "offset" not in name:
                 assert caught == []
+
+    def test_line_numbers_after_a_quoted_newline(self, chunk):
+        # the quoted record spans two lines, so the bad last row, record
+        # len(rows) + 1 counting the header, is on line len(rows) + 2
+        for at in (0, 5, 11):
+            rows = _good_rows(12)
+            rows.insert(at, _ODD_LINES["quoted_newline"])
+            rows.append(_ODD_LINES["bad_price"])
+            (_, _, line), _ = self._check("timestamp,price\n" + "\n".join(rows) + "\n")
+            assert line == len(rows) + 2
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_line_endings_and_last_line(self, chunk, ending):

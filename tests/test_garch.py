@@ -12,7 +12,6 @@ from regarch import rational, recursions_python
 from regarch.data import ReturnSeries
 from regarch.exceptions import DomainError, NumericalError
 from regarch.garch import (
-    HAS_COMPILED_KERNELS,
     NORMAL,
     RATIONAL,
     GarchParams,
@@ -23,22 +22,6 @@ from regarch.garch import (
     volatility_recursion,
 )
 from regarch.mcmc import Prior, _CachedTarget
-
-try:
-    from regarch import recursions
-except ImportError:  # extension not built; the package uses recursions_python
-    recursions = None
-
-needs_compiled = pytest.mark.skipif(
-    recursions is None,
-    reason="compiled extension regarch.recursions is not built",
-)
-
-BACKENDS = [
-    pytest.param(recursions, id="regarch.recursions", marks=needs_compiled),
-    pytest.param(recursions_python, id="regarch.recursions_python"),
-]
-
 
 def _returns(values, start=date(2006, 1, 2)):
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
@@ -224,58 +207,40 @@ class TestLikelihood:
             log_likelihood(GarchParams(1e-5, 0.1, 0.8), rets, init_variance=1e-4)
 
 
-class TestBackends:
-    def test_extension_in_use(self):
-        assert isinstance(HAS_COMPILED_KERNELS, bool)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_kernel_contract(self, backend):
+class TestKernels:
+    def test_kernel_contract(self):
+        kernels = recursions_python
         y = np.array([0.01, -0.02, 0.015])
         out = np.empty(3)
-        assert backend.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4, out) == -1
-        ll, bad = backend.normal_loglik(1e-5, 0.1, 0.8, y, 1e-4)
+        assert kernels.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4, out) == -1
+        ll, bad = kernels.normal_loglik(1e-5, 0.1, 0.8, y, 1e-4)
         assert bad == -1 and math.isfinite(ll)
-        ll, bad = backend.rational_loglik(1e-5, 0.1, 0.8, 1.57, y, 1e-4)
+        ll, bad = kernels.rational_loglik(1e-5, 0.1, 0.8, 1.57, y, 1e-4)
         assert bad == -1 and math.isfinite(ll)
 
-    @needs_compiled
-    def test_backends_bitwise_recursion(self):
-        rng = np.random.default_rng(9)
-        y = rng.standard_normal(2000) * 0.01
-        for omega, alpha, beta in [
-            (1e-5, 0.1, 0.85),
-            (2.8e-5, 0.132, 0.858),
-            (1e-6, 0.45, 0.54),
-        ]:
-            a = np.empty(y.size)
-            b = np.empty(y.size)
-            recursions.garch_recursion(omega, alpha, beta, y, 1e-4, a)
-            recursions_python.garch_recursion(omega, alpha, beta, y, 1e-4, b)
-            np.testing.assert_array_equal(a, b)
-
-    @needs_compiled
-    def test_backends_agree_on_likelihoods(self):
-        rng = np.random.default_rng(10)
-        y = rng.standard_normal(2000) * 0.01
-        for omega, alpha, beta in [(1e-5, 0.1, 0.85), (3e-5, 0.2, 0.7)]:
-            n1, _ = recursions.normal_loglik(omega, alpha, beta, y, 1e-4)
-            n2, _ = recursions_python.normal_loglik(omega, alpha, beta, y, 1e-4)
-            assert n1 == pytest.approx(n2, rel=1e-12)
-            r1, _ = recursions.rational_loglik(omega, alpha, beta, 1.57, y, 1e-4)
-            r2, _ = recursions_python.rational_loglik(omega, alpha, beta, 1.57, y, 1e-4)
-            assert r1 == pytest.approx(r2, rel=1e-12)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bad_index_reported(self, backend):
-        y = np.array([0.01, 1e200, 0.01])
-        out = np.empty(3)
+    @pytest.mark.parametrize(
+        "p", [0, 1, 20, 39], ids=["first", "second", "middle", "last"]
+    )
+    def test_bad_index_reported(self, p):
+        kernels = recursions_python
+        y = np.full(40, 0.01)
+        y[p] = 1e200
+        out = np.empty(40)
         # the huge return ruins the variance one step after it appears,
         # but ruins its own likelihood term immediately
-        assert backend.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4, out) == 2
-        _, bad = backend.normal_loglik(1e-5, 0.1, 0.8, y, 1e-4)
-        assert bad == 1
-        _, bad = backend.rational_loglik(1e-5, 0.1, 0.8, 1.57, y, 1e-4)
-        assert bad == 1
+        ruined = p + 1 if p + 1 < y.size else -1
+        assert kernels.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4, out) == ruined
+        _, bad = kernels.normal_loglik(1e-5, 0.1, 0.8, y, 1e-4)
+        assert bad == p
+        _, bad = kernels.rational_loglik(1e-5, 0.1, 0.8, 1.57, y, 1e-4)
+        assert bad == p
+        rets = _returns(y)
+        points = [(NORMAL, [1e-5, 0.1, 0.8]), (RATIONAL, [1e-5, 0.1, 0.8, 1.57])]
+        for law, theta in points:
+            with pytest.raises(NumericalError) as err:
+                log_likelihood(GarchParams.from_vector(theta, law=law), rets, 1e-4)
+            assert err.value.index == p
+            assert log_likelihoods([theta], law, rets, 1e-4)[0] == -math.inf
 
 
 class TestBlockKernel:

@@ -257,13 +257,11 @@ def _chain_config(args):
     )
 
 
-def _fit_table(chain):
-    rows = [("parameter", "mean", "tau_int")]
-    for s in chain.summaries:
-        rows.append((s.name, s.formatted(), f"{s.tau_int:.1f}"))
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
+def _table(rows):
+    """Left-aligned columns, two spaces apart, no trailing blanks."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in rows
     )
 
@@ -273,7 +271,9 @@ def _print_fit(chain):
         f"{chain.model} fit: {chain.n_obs} observations, "
         f"acceptance {chain.acceptance_rate:.3f}"
     )
-    print(_fit_table(chain))
+    rows = [("parameter", "mean", "tau_int")]
+    rows += [(s.name, s.formatted(), f"{s.tau_int:.1f}") for s in chain.summaries]
+    print(_table(rows))
     print(f"log-likelihood at posterior mean: {chain.lnl_at_mean:.3f}")
 
 
@@ -346,9 +346,7 @@ def cmd_compare(args):
             report.dic_preferred,
         )
     )
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    print(_table(rows))
     if report.criteria_agree:
         print(f"criteria agree: {report.aic_preferred} preferred by both")
     else:

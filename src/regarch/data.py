@@ -407,9 +407,6 @@ class GridDay:
     day: date
     session_log_prices: list[np.ndarray]
 
-    def n_returns(self):
-        return sum(max(a.shape[0] - 1, 0) for a in self.session_log_prices)
-
 
 @dataclass
 class GridBlock:
@@ -735,18 +732,6 @@ def resample_grid(ticks, calendar, delta_seconds):
     return GridPrices(
         float(delta_seconds), table.days[usable].tolist(), skipped, blocks
     )
-
-
-def intraday_returns(grid):
-    """Per-day arrays of grid log returns.
-
-    Returns a list of (day, returns) pairs.  Returns never span the gap
-    between sessions; each session contributes len(grid)-1 differences.
-    """
-    out = [None] * len(grid.dates)
-    for pos, r in grid.day_returns():
-        out[pos] = (grid.dates[pos], r)
-    return out
 
 
 _CSV_CHUNK_ROWS = 1024

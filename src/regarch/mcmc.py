@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +65,11 @@ class Prior:
 
     lower: dict[str, float] = field(default_factory=dict)
     upper: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted((self.lower.keys() | self.upper.keys()) - set(_PARAM_NAMES))
+        if unknown:
+            raise ValidationError(f"prior bounds name unknown parameters {unknown}")
 
     def log_density(self, params):
         inside = self.contains(params.to_vector()[None], params.names)[0]
@@ -449,12 +453,13 @@ def _laplace_scale(target, x, nu):
     return cov * (nu - 2.0) / nu
 
 
-class _CachedTarget:
-    """Log target in log coordinates, remembering likelihoods by position.
+class _LogTarget:
+    """Log target in log coordinates: log prior + log-likelihood + the
+    Jacobian of theta = exp(x), -inf wherever the target rejects.
 
-    A call scores one point, as the start-point search needs; a tiny FIFO
-    cache serves the points it revisits.  :meth:`score` scores a block of
-    MH candidates at once, with the same result at each row.
+    :meth:`score` scores a block of points at once; a call scores one point
+    as a one-row block, which ``log_likelihoods`` runs on the scalar kernel,
+    while the many-row blocks of MH candidates run on the block kernels.
     """
 
     def __init__(self, returns, law, prior, init_variance):
@@ -465,49 +470,14 @@ class _CachedTarget:
         if init_variance is None:
             init_variance = returns.sample_variance()
         self.init_variance = init_variance
-        self._cache = {}
-
-    def params(self, x):
-        return GarchParams.from_vector(np.exp(x), law=self.law)
 
     def __call__(self, x):
-        key = x.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            try:
-                params = self.params(x)
-            except (DomainError, OverflowError):
-                hit = (-math.inf, -math.inf)
-            else:
-                lp = self.prior.log_density(params)
-                if lp == -math.inf:
-                    hit = (-math.inf, -math.inf)
-                else:
-                    try:
-                        # the sampler legitimately visits the non-stationary
-                        # region; do not warn on every excursion
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore", RuntimeWarning)
-                            ll = log_likelihood(
-                                params, self.returns, self.init_variance
-                            )
-                    except (DomainError, NumericalError):
-                        hit = (-math.inf, -math.inf)
-                    else:
-                        # Jacobian of theta = exp(x) is sum(x)
-                        hit = (lp + ll + float(x.sum()), ll)
-            if len(self._cache) > 8:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = hit
-        return hit[0]
-
-    def log_likelihood_at(self, x):
-        self(x)
-        return self._cache[x.tobytes()][1]
+        # a Python float: an np.float64 -inf would warn in the Laplace
+        # differences
+        return float(self.score(x[None])[0][0])
 
     def score(self, xs):
-        """Log targets and log-likelihoods at each row of ``xs``, equal to
-        what the scalar call gives at each row."""
+        """Log targets and log-likelihoods at each row of ``xs``."""
         with np.errstate(over="ignore"):
             thetas = np.exp(xs)
         inside = self.prior.contains(thetas, self.names)
@@ -630,12 +600,13 @@ def _initial_proposal(target, nu):
     """Start point (the log-target mode found by Nelder-Mead from the
     moment-informed start) and the Laplace-scaled proposal centred there."""
     x0 = _start_point(target.returns, target.law)
-    if target(x0) == -math.inf:
+    f0 = target(x0)
+    if f0 == -math.inf:
         raise DomainError("prior excludes the moment-informed starting point")
     x_min, f_min, _, _ = _nelder_mead(
         lambda x: -target(x), x0, maxiter=500 * x0.shape[0], xatol=1e-6, fatol=1e-8
     )
-    x_start = x_min if math.isfinite(f_min) and -f_min >= target(x0) else x0
+    x_start = x_min if math.isfinite(f_min) and -f_min >= f0 else x0
     x_start = np.asarray(x_start, dtype=np.float64)
     return x_start, StudentTProposal(x_start, _laplace_scale(target, x_start, nu), nu)
 
@@ -658,14 +629,11 @@ def run_chain(model, returns, config=None):
             f"{len(returns)} returns are too few to estimate a volatility model"
         )
     rng = np.random.default_rng(config.seed)
-    target = _CachedTarget(
-        returns, law, config.prior, config.init_variance
-    )
+    target = _LogTarget(returns, law, config.prior, config.init_variance)
     d = len(target.names)
     x_start, proposal = _initial_proposal(target, config.nu)
-    state = MhState(
-        x_start, target(x_start), math.nan, target.log_likelihood_at(x_start)
-    )
+    lt, ll = (float(s[0]) for s in target.score(x_start[None]))
+    state = MhState(x_start, lt, math.nan, ll)
 
     # one block per adaptation interval; the proposal is refitted after each
     # full one

@@ -5,7 +5,8 @@ likelihood terms as NumPy array operations, summed pairwise by
 ``ndarray.sum``.  The block kernels score many parameter points at once:
 the recursion runs time-major, vectorised across the points, and the terms
 are summed row by row, so each row is bit for bit the scalar kernel's
-result.
+result.  :func:`regarch.garch.log_likelihoods` runs the scalar kernel for
+one point and the block kernels for more.
 """
 
 import numpy as np

@@ -327,6 +327,39 @@ class TestCompare:
         assert "criteria" in stdout
 
 
+    # the garch-re posterior mean here has alpha + beta >= 1
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_stdout_layout(self, market, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        args = [
+            "compare", "--data", str(market / "daily.csv"),
+            "--out-dir", str(out),
+        ] + _FAST_CHAIN
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == (
+            "garch-n fit: 149 observations, acceptance 0.600\n"
+            "parameter  mean         tau_int\n"
+            "omega      0.00104(37)  5.2\n"
+            "alpha      0.40(18)     4.4\n"
+            "beta       0.36(14)     5.0\n"
+            "log-likelihood at posterior mean: 231.544\n"
+            "\n"
+            "garch-re fit: 149 observations, acceptance 0.490\n"
+            "parameter  mean          tau_int\n"
+            "omega      7.9(5.5)e-04  3.9\n"
+            "alpha      0.55(37)      6.2\n"
+            "beta       0.50(13)      5.8\n"
+            "a          1.93(44)      5.5\n"
+            "log-likelihood at posterior mean: 247.301\n"
+            "\n"
+            "criterion  garch-n   garch-re  preferred\n"
+            "AIC        -457.089  -486.602  garch-re\n"
+            "DIC        -458.683  -490.647  garch-re\n"
+            "criteria agree: garch-re preferred by both\n"
+            f"wrote {out / 'comparison.json'}\n"
+        )
+
+
 class TestRv:
     def test_rv_artifacts(self, market, tmp_path):
         out = tmp_path / "rv"

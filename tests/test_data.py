@@ -15,7 +15,6 @@ from regarch.data import (
     TickSeries,
     daily_closes_from_ticks,
     daily_log_returns,
-    intraday_returns,
     load_daily_prices,
     load_ticks,
     resample_grid,
@@ -346,8 +345,8 @@ class TestIntradayReturns:
             ("2006-06-05T12:00:00", 90.0),
         ]
         grid = resample_grid(_make_ticks(rows), cal, 1800.0)
-        (day, rets) = intraday_returns(grid)[0]
-        assert day == date(2006, 6, 5)
+        ((pos, rets),) = grid.day_returns()
+        assert grid.dates[pos] == date(2006, 6, 5)
         a, b = grid.days[0].session_log_prices
         assert rets.shape[0] == (a.shape[0] - 1) + (b.shape[0] - 1)
         # the drop over lunch, log(90/100), lands in no return
@@ -357,7 +356,7 @@ class TestIntradayReturns:
         cal = SessionCalendar.tokyo()
         rows = [("2006-06-05T08:00:00", 100.0), ("2006-06-05T15:30:00", 101.0)]
         grid = resample_grid(_make_ticks(rows), cal, 60.0)
-        (_, rets) = intraday_returns(grid)[0]
+        ((_, rets),) = grid.day_returns()
         assert rets.shape[0] == 270  # 120 + 150 one-minute returns
 
 

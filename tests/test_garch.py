@@ -21,7 +21,7 @@ from regarch.garch import (
     log_likelihoods,
     volatility_recursion,
 )
-from regarch.mcmc import Prior, _CachedTarget
+from regarch.mcmc import Prior, _LogTarget, log_posterior
 
 def _returns(values, start=date(2006, 1, 2)):
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
@@ -303,11 +303,66 @@ class TestBlockKernel:
         params = GarchParams.from_vector(thetas[0], law=law)
         assert block[0] == block[3] == log_likelihood(params, rets, 1e300)
 
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
+    def test_one_row_matches_block_row_and_scalar(self, law):
+        # one row runs the scalar kernel, more rows the block kernels
+        k = 4 if law == RATIONAL else 3
+        good = np.array([1e-5, 0.1, 0.8, 1.6])[:k]
+        y = np.random.default_rng(5).standard_normal(40) * 0.01
+
+        def spiked(index, value):
+            v = y.copy()
+            v[index] = value
+            return v
+
+        def with_param(j, value):
+            theta = good.copy()
+            theta[j] = value
+            return theta
+
+        # (returns, initial variance, point, what log_likelihood raises:
+        # nothing, DomainError, or a NumericalError at this index)
+        cases = [(y, 1e-4, good, None)]
+        cases += [
+            (y, 1e-4, with_param(j, v), DomainError)
+            for j in range(k)
+            for v in (0.0, math.inf)
+        ]
+        # a return of 1e154 over variances near 1e300 keeps its own term
+        # finite, but alpha = 10 sends the next variance past the largest
+        # double; index 0 holds the validated initial variance, so index 1
+        # is the first a variance can go bad at
+        cases += [
+            (spiked(p - 1, 1e154), 1e300, with_param(1, 10.0), p) for p in (1, 20, 39)
+        ]
+        # a return of 1e200 makes its own term non-finite; at the last index
+        # no variance follows it
+        cases.append((spiked(39, 1e200), 1e-4, good, 39))
+        for values, init, theta, error in cases:
+            rets = _returns(values)
+            one = log_likelihoods(theta[None], law, rets, init)
+            many = log_likelihoods(np.array([good, theta, good]), law, rets, init)
+            assert one.shape == (1,) and one[0] == many[1]
+            params = GarchParams.from_vector(theta, law=law)
+            if error is None:
+                assert one[0] == log_likelihood(params, rets, init)
+                continue
+            assert one[0] == -math.inf
+            if error is DomainError:
+                with pytest.raises(DomainError):
+                    log_likelihood(params, rets, init)
+            else:
+                with pytest.raises(NumericalError) as err:
+                    log_likelihood(params, rets, init)
+                assert err.value.index == error
+
     @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
     def test_candidate_scores_match_scalar_target(self, law):
         rng = np.random.default_rng(4)
         rets = _returns(rng.standard_normal(80) * 0.01)
-        target = _CachedTarget(rets, law, Prior(upper={"beta": 0.85}), None)
+        prior = Prior(upper={"beta": 0.85})
+        target = _LogTarget(rets, law, prior, None)
         base = np.log([1e-5, 0.1, 0.8, 1.6][: len(target.names)])
         rows = [base]
         for j, value in [
@@ -324,7 +379,15 @@ class TestBlockKernel:
         assert list(log_targets[1:4]) == [-math.inf] * 3
         assert list(lls[1:4]) == [-math.inf] * 3
         for x, lt, ll in zip(xs, log_targets, lls):
-            with np.errstate(over="ignore"):
-                assert lt == target(x)
-            assert ll == target.log_likelihood_at(x)
+            assert target(x) == lt
+            # the plain reference: log posterior plus the Jacobian sum(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                params = GarchParams.from_vector(np.exp(x), law=law)
+                lp = log_posterior(params, rets, prior)
+                if lp == -math.inf:
+                    assert lt == ll == -math.inf
+                    continue
+                assert lt == lp + x.sum()
+                assert ll == log_likelihood(params, rets)
         assert math.isfinite(log_targets[0]) and math.isfinite(log_targets[4])

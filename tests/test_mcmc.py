@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -17,7 +18,7 @@ from regarch.exceptions import (
     InsufficientHistoryError,
     ValidationError,
 )
-from regarch.garch import NORMAL, RATIONAL, GarchParams
+from regarch.garch import NORMAL, RATIONAL, GarchParams, log_likelihood
 from regarch.mcmc import (
     MODEL_NORMAL,
     MODEL_RATIONAL,
@@ -33,7 +34,7 @@ from regarch.mcmc import (
     integrated_autocorr_time,
     log_posterior,
     mh_step,
-    _CachedTarget,
+    _LogTarget,
     _initial_proposal,
     _laplace_scale,
     _nelder_mead,
@@ -65,6 +66,12 @@ class TestPrior:
         assert prior.log_density(GarchParams(1e-5, 0.1, 0.8)) == 0.0
         assert prior.log_density(GarchParams(1e-5, 0.01, 0.8)) == -math.inf
         assert prior.log_density(GarchParams(1e-5, 0.1, 0.95)) == -math.inf
+
+    def test_unknown_parameter_name_rejected(self):
+        with pytest.raises(ValidationError, match="Beta"):
+            Prior(upper={"Beta": 0.9})
+        with pytest.raises(ValidationError, match="gamma"):
+            Prior(lower={"alpha": 0.05, "gamma": 0.1})
 
     def test_posterior_rejects_out_of_box(self):
         _, returns = _synthetic_returns(n=60)
@@ -402,17 +409,35 @@ class TestRunChain:
         assert chain.log_posteriors[i] == pytest.approx(expected, rel=1e-9)
 
 
+def _plain_scores(x, law, returns, prior, init_variance):
+    """Log target and log-likelihood at ``x`` in log coordinates, deliberately
+    plain: the log posterior at exp(x) plus the Jacobian sum(x), and the
+    scalar log-likelihood; both -inf where the posterior rejects."""
+    with warnings.catch_warnings():
+        # exp overflows far out, and the chain visits alpha + beta >= 1
+        warnings.simplefilter("ignore", RuntimeWarning)
+        params = GarchParams.from_vector(np.exp(x), law=law)
+        lp = log_posterior(params, returns, prior, init_variance)
+        if lp == -math.inf:
+            return -math.inf, -math.inf
+        return lp + float(x.sum()), log_likelihood(params, returns, init_variance)
+
+
 def _reference_chain(model, returns, config):
     """One MH step at a time, deliberately plain: draw a candidate, score it
-    with the scalar log target, accept or reject, adapt at interval ends.
+    with :func:`_plain_scores`, accept or reject, adapt at interval ends.
 
     Returns the retained log positions, log targets and log-likelihoods, and
     the number of candidates the prior box rejected.
     """
     law = NORMAL if model == MODEL_NORMAL else RATIONAL
-    target = _CachedTarget(returns, law, config.prior, config.init_variance)
+    target = _LogTarget(returns, law, config.prior, config.init_variance)
     x, proposal = _initial_proposal(target, config.nu)
-    lt = target(x)
+
+    def scores(x):
+        return _plain_scores(x, law, returns, config.prior, config.init_variance)
+
+    lt, ll = scores(x)
     rng = np.random.default_rng(config.seed)
     positions, log_targets, log_liks = [], [], []
     interval_accepts = 0
@@ -422,7 +447,7 @@ def _reference_chain(model, returns, config):
         u = rng.random()
         params = GarchParams.from_vector(np.exp(candidate), law=law)
         outside_box += config.prior.log_density(params) == -math.inf
-        lt_candidate = target(candidate)
+        lt_candidate, ll_candidate = scores(candidate)
         if lt_candidate != -math.inf:
             log_ratio = (
                 lt_candidate
@@ -435,11 +460,11 @@ def _reference_chain(model, returns, config):
             else:
                 accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
             if accepted:
-                x, lt = candidate, lt_candidate
+                x, lt, ll = candidate, lt_candidate, ll_candidate
                 interval_accepts += 1
         positions.append(x)
         log_targets.append(lt)
-        log_liks.append(target.log_likelihood_at(x))
+        log_liks.append(ll)
         if i < config.burn_in and (i + 1) % config.adapt_interval == 0:
             if interval_accepts == 0:
                 proposal = StudentTProposal(
@@ -536,13 +561,13 @@ class TestNelderMead:
     def test_log_target(self, model):
         law = NORMAL if model == MODEL_NORMAL else RATIONAL
         _, returns = _synthetic_returns(n=300, seed=3)
-        target = _CachedTarget(returns, law, Prior(), None)
+        target = _LogTarget(returns, law, Prior(), None)
         x0 = _start_point(returns, law)
         _assert_same_minimize(lambda x: -target(x), x0, 500 * x0.shape[0])
 
 
 def _laplace_scale_per_point(target, x, nu):
-    """Proposal scale from a Hessian scored one scalar target call per point."""
+    """Proposal scale from a Hessian scored one ``target`` call per point."""
     d = x.shape[0]
     fallback = np.eye(d) * 0.01
     h = 1e-3
@@ -576,12 +601,16 @@ class TestLaplaceScale:
     def test_matches_per_point_reference(self, model):
         law = NORMAL if model == MODEL_NORMAL else RATIONAL
         _, returns = _synthetic_returns(n=400, seed=6)
-        target = _CachedTarget(returns, law, Prior(), None)
+        target = _LogTarget(returns, law, Prior(), None)
         x, _ = _initial_proposal(target, 10.0)
+
+        def plain(x):
+            return _plain_scores(x, law, returns, Prior(), None)[0]
+
         for point in (x, x + 0.05, _start_point(returns, law)):
             np.testing.assert_array_equal(
                 _laplace_scale(target, point, 10.0),
-                _laplace_scale_per_point(target, point, 10.0),
+                _laplace_scale_per_point(plain, point, 10.0),
             )
 
     def test_point_outside_prior_box_falls_back(self):
@@ -589,10 +618,14 @@ class TestLaplaceScale:
         x = np.log(np.array([5e-5, 0.1, 0.8]))
         # a box edge 0.05% above alpha puts x + h outside it
         prior = Prior(upper={"alpha": 0.1 * (1.0 + 5e-4)})
-        target = _CachedTarget(returns, NORMAL, prior, None)
+        target = _LogTarget(returns, NORMAL, prior, None)
         assert target(x + 1e-3 * np.eye(3)[1]) == -math.inf
         scale = _laplace_scale(target, x, 10.0)
-        np.testing.assert_array_equal(scale, _laplace_scale_per_point(target, x, 10.0))
+
+        def plain(x):
+            return _plain_scores(x, NORMAL, returns, prior, None)[0]
+
+        np.testing.assert_array_equal(scale, _laplace_scale_per_point(plain, x, 10.0))
         np.testing.assert_array_equal(scale, np.eye(3) * 0.01 * 8.0 / 10.0)
 
 

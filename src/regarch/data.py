@@ -47,7 +47,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -401,14 +400,6 @@ def _trading_days_of(ticks, calendar):
 
 
 @dataclass
-class GridDay:
-    """Previous-tick log prices on one day's session grids."""
-
-    day: date
-    session_log_prices: list[np.ndarray]
-
-
-@dataclass
 class GridBlock:
     """Grid log prices of the days that share one session tuple, a row a day.
 
@@ -455,16 +446,6 @@ class GridPrices:
         """Yield (index into ``dates``, grid log returns) for each usable day."""
         for block in self.blocks:
             yield from block.day_returns()
-
-    @cached_property
-    def days(self):
-        """A :class:`GridDay` per usable day, with views into ``blocks``."""
-        days = [None] * len(self.dates)
-        for block in self.blocks:
-            spans = list(zip([0, *block.session_ends[:-1]], block.session_ends))
-            for pos, row in zip(block.positions.tolist(), block.log_prices):
-                days[pos] = GridDay(self.dates[pos], [row[a:b] for a, b in spans])
-        return days
 
 
 def load_daily_prices(source):

@@ -10,10 +10,14 @@ far; after burn-in the proposal is frozen, which keeps the retained chain a
 valid MH sample.  Sampling runs in log coordinates so the positivity
 constraints become unbounded, with the Jacobian folded into the target.
 
-The flat prior on the positive orthant is improper; the likelihood decays
-fast enough in every direction for the posterior to be proper in practice,
-and a collapsed acceptance rate is reported as an error rather than papered
-over.
+The flat prior on the positive orthant is improper.  Under garch-n the
+likelihood decays fast enough in every direction for the posterior to be
+proper in practice; under garch-re it does not.  As a -> inf with
+omega ~ a^2 the rational law tends to a Cauchy law and the likelihood to a
+constant, while the Jacobian keeps growing, so the posterior is improper
+along that ridge, and chains on short series can run off along it.  A
+posterior mean or sd that is not finite, like a collapsed acceptance rate,
+is reported as an error rather than papered over.
 """
 
 from __future__ import annotations
@@ -71,28 +75,11 @@ class Prior:
         if unknown:
             raise ValidationError(f"prior bounds name unknown parameters {unknown}")
 
-    def log_density(self, params):
-        inside = self.contains(params.to_vector()[None], params.names)[0]
-        return 0.0 if inside else -math.inf
-
     def contains(self, thetas, names):
         """Mask of the rows of ``thetas`` (parameters ``names``) in the box."""
         lo = np.array([self.lower.get(name, 0.0) for name in names])
         hi = np.array([self.upper.get(name, math.inf) for name in names])
         return (np.isfinite(thetas) & (lo < thetas) & (thetas < hi)).all(axis=1)
-
-
-def log_posterior(params, returns, prior=None, init_variance=None):
-    """Unnormalized log posterior; -inf encodes any rejection."""
-    if prior is None:
-        prior = Prior()
-    lp = prior.log_density(params)
-    if lp == -math.inf:
-        return -math.inf
-    try:
-        return lp + log_likelihood(params, returns, init_variance)
-    except (DomainError, NumericalError):
-        return -math.inf
 
 
 class StudentTProposal:
@@ -405,19 +392,19 @@ def _start_point(returns, law):
     return np.log(np.array(theta))
 
 
-def _laplace_scale(target, x, nu):
+def _laplace_scale(target, x, f0, nu):
     """Proposal scale from the curvature of the log target at its mode.
 
     An independence proposal narrower than the posterior has unbounded
     importance ratios, so the chain can freeze on a lucky tail point; the
     inverse Hessian puts the very first proposal on the right scale and
-    the moment-matched re-adaptations only have to refine it.  Falls back
-    to a conservative diagonal when the curvature is unusable.
+    the moment-matched re-adaptations only have to refine it.  ``f0`` is
+    the log target at ``x``.  Falls back to a conservative diagonal when the
+    curvature is unusable.
     """
     d = x.shape[0]
     fallback = np.eye(d) * 0.01
     h = 1e-3
-    f0 = target(x)
     steps = h * np.eye(d)
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
     points = []
@@ -454,18 +441,27 @@ def _laplace_scale(target, x, nu):
 
 
 class _LogTarget:
-    """Log target in log coordinates: log prior + log-likelihood + the
-    Jacobian of theta = exp(x), -inf wherever the target rejects.
+    """Log target of ``model`` in log coordinates: log prior + log-likelihood
+    + the Jacobian of theta = exp(x), -inf wherever the target rejects.  An
+    unknown model or a series of under 30 returns is refused here, where
+    every chain starts.
 
     :meth:`score` scores a block of points at once; a call scores one point
     as a one-row block, which ``log_likelihoods`` runs on the scalar kernel,
     while the many-row blocks of MH candidates run on the block kernels.
     """
 
-    def __init__(self, returns, law, prior, init_variance):
+    def __init__(self, model, returns, prior, init_variance):
+        if model not in _LAW_FOR_MODEL:
+            raise DomainError(f"unknown model {model!r}; expected garch-n or garch-re")
+        if len(returns) < 30:
+            raise InsufficientDataError(
+                f"{len(returns)} returns are too few to estimate a volatility model"
+            )
+        self.model = model
         self.returns = returns
-        self.law = law
-        self.names = _PARAM_NAMES if law == RATIONAL else _PARAM_NAMES[:3]
+        self.law = _LAW_FOR_MODEL[model]
+        self.names = _PARAM_NAMES if self.law == RATIONAL else _PARAM_NAMES[:3]
         self.prior = prior
         if init_variance is None:
             init_variance = returns.sample_variance()
@@ -596,9 +592,13 @@ def _nelder_mead(func, x0, maxiter, xatol, fatol):
     return sim[0], np.min(fsim), nfev, nit
 
 
-def _initial_proposal(target, nu):
-    """Start point (the log-target mode found by Nelder-Mead from the
-    moment-informed start) and the Laplace-scaled proposal centred there."""
+def _start(target, nu):
+    """Start state and the Laplace-scaled proposal centred there.
+
+    The start is the log-target mode found by Nelder-Mead from the
+    moment-informed start point, scored once.  It draws no random numbers,
+    so replicas of a chain share it.
+    """
     x0 = _start_point(target.returns, target.law)
     f0 = target(x0)
     if f0 == -math.inf:
@@ -608,67 +608,45 @@ def _initial_proposal(target, nu):
     )
     x_start = x_min if math.isfinite(f_min) and -f_min >= f0 else x0
     x_start = np.asarray(x_start, dtype=np.float64)
-    return x_start, StudentTProposal(x_start, _laplace_scale(target, x_start, nu), nu)
-
-
-def run_chain(model, returns, config=None):
-    """Estimate ``model`` ("garch-n" or "garch-re") on a return series.
-
-    Burn-in adapts the proposal every ``config.adapt_interval`` draws from
-    the accumulated history; the retained phase uses the frozen proposal.
-    Raises :class:`AdaptationFailureError` when the final acceptance rate
-    is degenerate (< 1%).
-    """
-    if model not in _LAW_FOR_MODEL:
-        raise DomainError(f"unknown model {model!r}; expected garch-n or garch-re")
-    law = _LAW_FOR_MODEL[model]
-    if config is None:
-        config = ChainConfig()
-    if len(returns) < 30:
-        raise InsufficientDataError(
-            f"{len(returns)} returns are too few to estimate a volatility model"
-        )
-    rng = np.random.default_rng(config.seed)
-    target = _LogTarget(returns, law, config.prior, config.init_variance)
-    d = len(target.names)
-    x_start, proposal = _initial_proposal(target, config.nu)
     lt, ll = (float(s[0]) for s in target.score(x_start[None]))
-    state = MhState(x_start, lt, math.nan, ll)
+    proposal = StudentTProposal(x_start, _laplace_scale(target, x_start, lt, nu), nu)
+    return MhState(x_start, lt, math.nan, ll), proposal
 
-    # one block per adaptation interval; the proposal is refitted after each
-    # full one
-    history = np.empty((config.burn_in, d))
-    for start in range(0, config.burn_in, config.adapt_interval):
-        stop = min(start + config.adapt_interval, config.burn_in)
-        visited, interval_accepts = _mh_block(
-            state, proposal, target, rng, stop - start
-        )
-        state = visited[-1]
-        history[start:stop] = [s.position for s in visited]
-        if stop % config.adapt_interval == 0:
-            if interval_accepts == 0:
-                # nothing new to learn from; widen the net instead
-                proposal = StudentTProposal(
-                    proposal.location, proposal.scale * 4.0, config.nu
-                )
-            else:
-                proposal = adapt_proposal(history[:stop], config.nu)
 
-    n = config.samples
-    samples_log = np.empty((n, d))
-    log_posts = np.empty(n)
-    log_liks = np.empty(n)
+def _chain(target, state, proposal, config):
+    """One chain from a scored start ``state`` and its proposal.
+
+    The steps run in blocks: one per adaptation interval of burn-in, with
+    the proposal refitted to every position so far after each full one,
+    then up to ``_FROZEN_BLOCK`` steps at a time under the frozen proposal.
+    Only the kept steps count toward the acceptance rate.
+    """
+    rng = np.random.default_rng(config.seed)
+    burn_in, interval = config.burn_in, config.adapt_interval
+    steps = burn_in + config.samples
+    positions = np.empty((steps, len(target.names)))
+    log_targets = np.empty(steps)
+    log_liks = np.empty(steps)
+    bounds = [*range(0, burn_in, interval), *range(burn_in, steps, _FROZEN_BLOCK), steps]
     accepts = 0
-    for start in range(0, n, _FROZEN_BLOCK):
-        stop = min(start + _FROZEN_BLOCK, n)
+    for start, stop in zip(bounds, bounds[1:]):
         visited, block_accepts = _mh_block(state, proposal, target, rng, stop - start)
         state = visited[-1]
-        accepts += block_accepts
-        samples_log[start:stop] = [s.position for s in visited]
-        log_posts[start:stop] = [s.log_target for s in visited]
+        positions[start:stop] = [s.position for s in visited]
+        log_targets[start:stop] = [s.log_target for s in visited]
         log_liks[start:stop] = [s.log_likelihood for s in visited]
+        if start >= burn_in:
+            accepts += block_accepts
+        elif stop % interval == 0:
+            # an interval without accepts has nothing new to learn from; widen
+            # the net instead
+            proposal = (
+                adapt_proposal(positions[:stop], config.nu)
+                if block_accepts
+                else StudentTProposal(proposal.location, proposal.scale * 4.0, config.nu)
+            )
 
-    acceptance_rate = accepts / n
+    acceptance_rate = accepts / config.samples
     if acceptance_rate < 0.01:
         raise AdaptationFailureError(
             f"acceptance rate {acceptance_rate:.2%} after adaptation; "
@@ -676,26 +654,27 @@ def run_chain(model, returns, config=None):
             "or burn-in too small)"
         )
 
-    samples = np.exp(samples_log)
-    names = target.names
-    summaries = []
-    for j, name in enumerate(names):
-        col = samples[:, j]
-        diag = integrated_autocorr_time(col)
-        summaries.append(
-            ParamSummary(
-                name=name,
-                mean=float(col.mean()),
-                sd=float(col.std(ddof=1)),
-                tau_int=diag.tau_int,
-            )
+    samples_log = positions[burn_in:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.exp(samples_log)
+        theta_bar = samples.mean(axis=0)
+        sds = [float(col.std(ddof=1)) for col in samples.T]
+    if not np.isfinite([*theta_bar, *sds]).all():
+        raise NumericalError(
+            f"{target.model}: posterior mean or sd is not finite; the chain ran off "
+            "along an improper ridge of the posterior (garch-re has one: a -> inf with "
+            "omega ~ a^2, the Cauchy limit of the rational law, which a short series "
+            "does not rule out)"
         )
+    summaries = []
+    for name, col, sd in zip(target.names, samples.T, sds):
+        tau_int = integrated_autocorr_time(col).tau_int
+        summaries.append(ParamSummary(name, float(col.mean()), sd, tau_int))
 
-    theta_bar = samples.mean(axis=0)
-    params_bar = GarchParams.from_vector(theta_bar, law=law)
-    lnl_at_mean = log_likelihood(params_bar, returns, config.init_variance)
+    params_bar = GarchParams.from_vector(theta_bar, law=target.law)
+    lnl_at_mean = log_likelihood(params_bar, target.returns, config.init_variance)
 
-    if law == RATIONAL:
+    if target.law == RATIONAL:
         a_mean = theta_bar[3]
         if a_mean < UNIMODAL_MIN_A:
             logger.warning(
@@ -706,33 +685,46 @@ def run_chain(model, returns, config=None):
 
     logger.info(
         "%s chain: acceptance %.1f%%, lnL(theta_bar)=%.2f",
-        model,
+        target.model,
         100.0 * acceptance_rate,
         lnl_at_mean,
     )
     return PosteriorChain(
-        model=model,
-        param_names=names,
+        model=target.model,
+        param_names=target.names,
         samples=samples,
         samples_log=samples_log,
-        log_posteriors=log_posts,
-        log_likelihoods=log_liks,
+        log_posteriors=log_targets[burn_in:],
+        log_likelihoods=log_liks[burn_in:],
         acceptance_rate=acceptance_rate,
         summaries=summaries,
         lnl_at_mean=float(lnl_at_mean),
         config=config,
-        n_obs=len(returns),
-        data_digest=data_digest(returns),
+        n_obs=len(target.returns),
+        data_digest=data_digest(target.returns),
     )
 
 
+def run_chain(model, returns, config=None):
+    """Estimate ``model`` ("garch-n" or "garch-re") on a return series.
+
+    Finds the start state and proposal (:func:`_start`), then runs one chain
+    from them (:func:`_chain`).  Raises :class:`AdaptationFailureError`
+    when the kept acceptance rate is degenerate (< 1%), and
+    :class:`NumericalError` when the posterior mean or an sd is not finite.
+    """
+    config = config or ChainConfig()
+    target = _LogTarget(model, returns, config.prior, config.init_variance)
+    return _chain(target, *_start(target, config.nu), config)
+
+
 def run_chains(model, returns, config=None, n_chains=2):
-    """Independent replicas with seeds spawned from ``config.seed``."""
+    """Independent replicas from one shared start, with seeds spawned from
+    ``config.seed``; each equals :func:`run_chain` at its spawned seed."""
     if n_chains < 1:
         raise DomainError("n_chains must be at least 1")
-    if config is None:
-        config = ChainConfig()
-    children = np.random.SeedSequence(config.seed).generate_state(n_chains)
-    return [
-        run_chain(model, returns, replace(config, seed=int(s))) for s in children
-    ]
+    config = config or ChainConfig()
+    target = _LogTarget(model, returns, config.prior, config.init_variance)
+    start = _start(target, config.nu)
+    seeds = np.random.SeedSequence(config.seed).generate_state(n_chains)
+    return [_chain(target, *start, replace(config, seed=int(s))) for s in seeds]

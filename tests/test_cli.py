@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 import regarch
 from regarch import cli
 from regarch.data import daily_log_returns, load_daily_prices
+from regarch.garch import RATIONAL, GarchParams
+from regarch.simulate import simulate_garch
 
 _SIM_ARGS = [
     "simulate",
@@ -299,6 +302,27 @@ class TestFit:
         assert cli.main(args) == 0
         _, header, _ = _read_csv(out / "chain_garch-re.csv")
         assert header == ["omega", "alpha", "beta", "a"]
+
+
+    def test_improper_ridge_exits_1(self, tmp_path, capsys):
+        # 31 closes on which the garch-re chain runs off along a -> inf
+        truth = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)
+        returns, _ = simulate_garch(truth, 30, np.random.default_rng(1002))
+        closes = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns.values)]))
+        data = tmp_path / "daily.csv"
+        data.write_text(
+            "date,close\n"
+            + "".join(
+                f"{date(2006, 1, 2) + timedelta(days=i)},{c!r}\n"
+                for i, c in enumerate(closes.tolist())
+            )
+        )
+        args = [
+            "fit", "--model", "garch-re", "--data", str(data),
+            "--burn-in", "1000", "--samples", "3000", "--out-dir", str(tmp_path),
+        ]
+        assert cli.main(args) == 1
+        assert "improper ridge" in capsys.readouterr().err
 
 
 class TestCompare:

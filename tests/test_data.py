@@ -26,6 +26,7 @@ from regarch.exceptions import (
     ParseError,
     ValidationError,
 )
+from reference import grid_sessions
 
 
 def _csv(text):
@@ -262,8 +263,8 @@ class TestResampling:
             ]
         )
         grid = resample_grid(ticks, cal, 60.0)
-        assert [g.day for g in grid.days] == [date(2006, 6, 5)]
-        (prices,) = grid.days[0].session_log_prices
+        assert [day for day, _ in grid_sessions(grid)] == [date(2006, 6, 5)]
+        (prices,) = grid_sessions(grid)[0][1]
         # instants 09:00, 09:01, 09:02 take the last tick at or before each
         np.testing.assert_allclose(prices, np.log([100.0, 101.0, 102.0]))
 
@@ -271,7 +272,7 @@ class TestResampling:
         cal = SessionCalendar.tokyo()
         rows = [("2006-06-05T08:00:00", 100.0), ("2006-06-05T15:30:00", 101.0)]
         grid = resample_grid(_make_ticks(rows), cal, 60.0)
-        a, b = grid.days[0].session_log_prices
+        a, b = grid_sessions(grid)[0][1]
         assert a.shape[0] == 121  # 2 h at 60 s
         assert b.shape[0] == 151  # 2.5 h at 60 s
 
@@ -279,7 +280,7 @@ class TestResampling:
         cal = SessionCalendar.tokyo()
         rows = [("2006-06-05T08:00:00", 100.0), ("2006-06-05T14:45:00", 110.0)]
         grid = resample_grid(_make_ticks(rows), cal, 3600.0)
-        a, b = grid.days[0].session_log_prices
+        a, b = grid_sessions(grid)[0][1]
         np.testing.assert_allclose(a, np.log([100.0] * 3))  # 09:00, 10:00, 11:00
         # 12:30, 13:30, 14:30, then the close at 15:00 sees the 14:45 tick
         np.testing.assert_allclose(b, np.log([100.0, 100.0, 100.0, 110.0]))
@@ -288,7 +289,7 @@ class TestResampling:
         cal = SessionCalendar.tokyo()
         rows = [("2006-06-05T08:00:00", 100.0), ("2006-06-05T15:30:00", 101.0)]
         grid = resample_grid(_make_ticks(rows), cal, 6 * 3600.0)
-        for session in grid.days[0].session_log_prices:
+        for session in grid_sessions(grid)[0][1]:
             assert session.shape[0] == 2
 
     def test_day_without_ticks_skipped_and_reported(self, caplog):
@@ -300,7 +301,7 @@ class TestResampling:
         with caplog.at_level("WARNING", logger="regarch.data"):
             grid = resample_grid(_make_ticks(rows), cal, 300.0)
         assert grid.skipped_days == [date(2006, 6, 6)]
-        assert [g.day for g in grid.days] == [date(2006, 6, 5), date(2006, 6, 7)]
+        assert [day for day, _ in grid_sessions(grid)] == [date(2006, 6, 5), date(2006, 6, 7)]
         assert "skipped 1 day" in caplog.text
 
     def test_open_before_first_tick_skips_day(self):
@@ -318,9 +319,9 @@ class TestResampling:
             ("2006-06-06T10:00:00", 105.0),
         ]
         grid = resample_grid(_make_ticks(rows), cal, 3600.0)
-        tuesday = grid.days[1]
-        assert tuesday.day == date(2006, 6, 6)
-        first_session = tuesday.session_log_prices[0]
+        day, sessions = grid_sessions(grid)[1]
+        assert day == date(2006, 6, 6)
+        first_session = sessions[0]
         np.testing.assert_allclose(
             first_session, np.log([100.0, 105.0, 105.0])
         )
@@ -347,7 +348,7 @@ class TestIntradayReturns:
         grid = resample_grid(_make_ticks(rows), cal, 1800.0)
         ((pos, rets),) = grid.day_returns()
         assert grid.dates[pos] == date(2006, 6, 5)
-        a, b = grid.days[0].session_log_prices
+        a, b = grid_sessions(grid)[0][1]
         assert rets.shape[0] == (a.shape[0] - 1) + (b.shape[0] - 1)
         # the drop over lunch, log(90/100), lands in no return
         np.testing.assert_array_equal(rets, np.zeros_like(rets))

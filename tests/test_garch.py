@@ -21,7 +21,8 @@ from regarch.garch import (
     log_likelihoods,
     volatility_recursion,
 )
-from regarch.mcmc import Prior, _LogTarget, log_posterior
+from regarch.mcmc import MODEL_NORMAL, MODEL_RATIONAL, Prior, _LogTarget
+from reference import log_posterior
 
 def _returns(values, start=date(2006, 1, 2)):
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
@@ -362,7 +363,8 @@ class TestBlockKernel:
         rng = np.random.default_rng(4)
         rets = _returns(rng.standard_normal(80) * 0.01)
         prior = Prior(upper={"beta": 0.85})
-        target = _LogTarget(rets, law, prior, None)
+        model = MODEL_NORMAL if law == NORMAL else MODEL_RATIONAL
+        target = _LogTarget(model, rets, prior, None)
         base = np.log([1e-5, 0.1, 0.8, 1.6][: len(target.names)])
         rows = [base]
         for j, value in [

@@ -11,11 +11,13 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 from scipy.stats import multivariate_t
 
+from regarch import mcmc
 from regarch.data import ReturnSeries
 from regarch.exceptions import (
     DomainError,
     InsufficientDataError,
     InsufficientHistoryError,
+    NumericalError,
     ValidationError,
 )
 from regarch.garch import NORMAL, RATIONAL, GarchParams, log_likelihood
@@ -32,17 +34,17 @@ from regarch.mcmc import (
     data_digest,
     format_uncertainty,
     integrated_autocorr_time,
-    log_posterior,
     mh_step,
     _LogTarget,
-    _initial_proposal,
     _laplace_scale,
     _nelder_mead,
+    _start,
     _start_point,
     run_chain,
     run_chains,
 )
 from regarch.simulate import simulate_garch
+from reference import log_posterior, prior_log_density
 
 
 def _returns(values, start=date(2006, 1, 2)):
@@ -56,16 +58,27 @@ def _synthetic_returns(n=800, seed=10):
     return params, returns
 
 
+def _contains(prior, *points):
+    return prior.contains(np.array([p.to_vector() for p in points]), points[0].names).tolist()
+
+
 class TestPrior:
     def test_default_positive_orthant(self):
         prior = Prior()
-        assert prior.log_density(GarchParams(1e-5, 0.1, 0.8)) == 0.0
+        assert prior_log_density(prior, GarchParams(1e-5, 0.1, 0.8)) == 0.0
+        assert _contains(prior, GarchParams(1e-5, 0.1, 0.8)) == [True]
 
     def test_box_bounds(self):
         prior = Prior(lower={"alpha": 0.05}, upper={"beta": 0.9})
-        assert prior.log_density(GarchParams(1e-5, 0.1, 0.8)) == 0.0
-        assert prior.log_density(GarchParams(1e-5, 0.01, 0.8)) == -math.inf
-        assert prior.log_density(GarchParams(1e-5, 0.1, 0.95)) == -math.inf
+        points = [
+            GarchParams(1e-5, 0.1, 0.8),
+            GarchParams(1e-5, 0.01, 0.8),
+            GarchParams(1e-5, 0.1, 0.95),
+        ]
+        assert prior_log_density(prior, points[0]) == 0.0
+        assert prior_log_density(prior, points[1]) == -math.inf
+        assert prior_log_density(prior, points[2]) == -math.inf
+        assert _contains(prior, *points) == [True, False, False]
 
     def test_unknown_parameter_name_rejected(self):
         with pytest.raises(ValidationError, match="Beta"):
@@ -399,6 +412,27 @@ class TestRunChain:
         with pytest.raises(InsufficientDataError):
             run_chain(MODEL_NORMAL, returns, _SMOKE_CONFIG)
 
+    def test_start_scored_once_after_the_search(self, monkeypatch):
+        _, returns = _synthetic_returns(n=200)
+        searched, rows = [], []
+        score = _LogTarget.score
+
+        def counted_search(*args, **kwargs):
+            result = _nelder_mead(*args, **kwargs)
+            searched.append(1)
+            return result
+
+        def counted_score(self, xs):
+            if searched:
+                rows.append(xs.shape[0])
+            return score(self, xs)
+
+        monkeypatch.setattr(mcmc, "_nelder_mead", counted_search)
+        monkeypatch.setattr(_LogTarget, "score", counted_score)
+        run_chain(MODEL_NORMAL, returns, ChainConfig(burn_in=600, samples=500))
+        # the start state; the Hessian points and the MH blocks are many rows
+        assert rows.count(1) == 1
+
     def test_log_posterior_consistency(self, normal_chain):
         # retained log posterior includes the log-coordinate Jacobian
         chain = normal_chain
@@ -431,8 +465,9 @@ def _reference_chain(model, returns, config):
     the number of candidates the prior box rejected.
     """
     law = NORMAL if model == MODEL_NORMAL else RATIONAL
-    target = _LogTarget(returns, law, config.prior, config.init_variance)
-    x, proposal = _initial_proposal(target, config.nu)
+    target = _LogTarget(model, returns, config.prior, config.init_variance)
+    start, proposal = _start(target, config.nu)
+    x = start.position
 
     def scores(x):
         return _plain_scores(x, law, returns, config.prior, config.init_variance)
@@ -446,7 +481,7 @@ def _reference_chain(model, returns, config):
         candidate = proposal.sample(rng)
         u = rng.random()
         params = GarchParams.from_vector(np.exp(candidate), law=law)
-        outside_box += config.prior.log_density(params) == -math.inf
+        outside_box += prior_log_density(config.prior, params) == -math.inf
         lt_candidate, ll_candidate = scores(candidate)
         if lt_candidate != -math.inf:
             log_ratio = (
@@ -561,7 +596,7 @@ class TestNelderMead:
     def test_log_target(self, model):
         law = NORMAL if model == MODEL_NORMAL else RATIONAL
         _, returns = _synthetic_returns(n=300, seed=3)
-        target = _LogTarget(returns, law, Prior(), None)
+        target = _LogTarget(model, returns, Prior(), None)
         x0 = _start_point(returns, law)
         _assert_same_minimize(lambda x: -target(x), x0, 500 * x0.shape[0])
 
@@ -601,15 +636,15 @@ class TestLaplaceScale:
     def test_matches_per_point_reference(self, model):
         law = NORMAL if model == MODEL_NORMAL else RATIONAL
         _, returns = _synthetic_returns(n=400, seed=6)
-        target = _LogTarget(returns, law, Prior(), None)
-        x, _ = _initial_proposal(target, 10.0)
+        target = _LogTarget(model, returns, Prior(), None)
+        x = _start(target, 10.0)[0].position
 
         def plain(x):
             return _plain_scores(x, law, returns, Prior(), None)[0]
 
         for point in (x, x + 0.05, _start_point(returns, law)):
             np.testing.assert_array_equal(
-                _laplace_scale(target, point, 10.0),
+                _laplace_scale(target, point, target(point), 10.0),
                 _laplace_scale_per_point(plain, point, 10.0),
             )
 
@@ -618,15 +653,31 @@ class TestLaplaceScale:
         x = np.log(np.array([5e-5, 0.1, 0.8]))
         # a box edge 0.05% above alpha puts x + h outside it
         prior = Prior(upper={"alpha": 0.1 * (1.0 + 5e-4)})
-        target = _LogTarget(returns, NORMAL, prior, None)
+        target = _LogTarget(MODEL_NORMAL, returns, prior, None)
         assert target(x + 1e-3 * np.eye(3)[1]) == -math.inf
-        scale = _laplace_scale(target, x, 10.0)
+        scale = _laplace_scale(target, x, target(x), 10.0)
 
         def plain(x):
             return _plain_scores(x, NORMAL, returns, prior, None)[0]
 
         np.testing.assert_array_equal(scale, _laplace_scale_per_point(plain, x, 10.0))
         np.testing.assert_array_equal(scale, np.eye(3) * 0.01 * 8.0 / 10.0)
+
+
+class TestImproperRidge:
+    """Short garch-re series on which the chain runs off along a -> inf with
+    omega ~ a^2, where the posterior is improper."""
+
+    @pytest.mark.parametrize("n, seed", [(30, 1002), (40, 1000)])
+    def test_non_finite_posterior_is_a_numerical_error(self, n, seed):
+        truth = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)
+        returns, _ = simulate_garch(truth, n, np.random.default_rng(seed))
+        config = ChainConfig(burn_in=1000, samples=3000)
+        with warnings.catch_warnings():
+            # no overflow warnings from the summaries ahead of the error
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="improper ridge"):
+                run_chain(MODEL_RATIONAL, returns, config)
 
 
 class TestRunChains:
@@ -639,6 +690,44 @@ class TestRunChains:
         again = run_chains(MODEL_NORMAL, returns, config, n_chains=2)
         np.testing.assert_array_equal(chains[0].samples, again[0].samples)
         np.testing.assert_array_equal(chains[1].samples, again[1].samples)
+
+    @pytest.mark.parametrize("model", [MODEL_NORMAL, MODEL_RATIONAL])
+    def test_replicas_equal_run_chain_at_spawned_seeds(self, model):
+        _, returns = _synthetic_returns(n=200)
+        config = ChainConfig(burn_in=600, samples=2500, seed=9)
+        chains = run_chains(model, returns, config, n_chains=3)
+        seeds = np.random.SeedSequence(9).generate_state(3)
+        for chain, seed in zip(chains, seeds):
+            alone = run_chain(model, returns, ChainConfig(burn_in=600, samples=2500, seed=int(seed)))
+            np.testing.assert_array_equal(chain.samples_log, alone.samples_log)
+            np.testing.assert_array_equal(chain.log_posteriors, alone.log_posteriors)
+            np.testing.assert_array_equal(chain.log_likelihoods, alone.log_likelihoods)
+            assert chain.acceptance_rate == alone.acceptance_rate
+            assert chain.lnl_at_mean == alone.lnl_at_mean
+            assert chain.summaries == alone.summaries
+            assert chain.config.seed == int(seed)
+
+    def test_one_start_search_for_all_replicas(self, monkeypatch):
+        _, returns = _synthetic_returns(n=200)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _nelder_mead(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "_nelder_mead", counted)
+        run_chains(MODEL_NORMAL, returns, ChainConfig(burn_in=600, samples=500), n_chains=3)
+        assert len(calls) == 1
+
+    def test_validated_like_run_chain(self):
+        _, returns = _synthetic_returns(n=60)
+        with pytest.raises(DomainError, match="unknown model"):
+            run_chains("garch-x", returns, _SMOKE_CONFIG)
+        _, short = _synthetic_returns(n=20)
+        with pytest.raises(InsufficientDataError):
+            run_chains(MODEL_NORMAL, short, _SMOKE_CONFIG)
+        with pytest.raises(DomainError, match="n_chains"):
+            run_chains(MODEL_NORMAL, returns, _SMOKE_CONFIG, n_chains=0)
 
 
 class TestExports:

@@ -33,6 +33,7 @@ from regarch.realized import (
     write_rv_csv,
     write_signature_csv,
 )
+from reference import grid_sessions
 
 # two-minute single session keeps hand-computed grids tiny
 _CAL = SessionCalendar({wd: ((time(9, 0), time(9, 2)),) for wd in range(5)})
@@ -509,10 +510,11 @@ class TestRvPathMatchesPerDayLoop:
             grid = resample_grid(ticks, cal, delta)
             days, skipped = _per_day_grid(ticks, cal, delta)
             assert grid.skipped_days == skipped
-            assert [g.day for g in grid.days] == [d for d, _ in days]
-            for got, (_, want) in zip(grid.days, days):
-                assert len(got.session_log_prices) == len(want)
-                for a, b in zip(got.session_log_prices, want):
+            sessions = grid_sessions(grid)
+            assert [d for d, _ in sessions] == [d for d, _ in days]
+            for (_, got), (_, want) in zip(sessions, days):
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
                     assert _bits(a) == _bits(b)
         assert date(2006, 1, 2) in skipped  # opens before the first tick
         assert {date(2006, 1, 11), date(2006, 1, 24)} <= set(skipped)

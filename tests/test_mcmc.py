@@ -2,6 +2,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -412,6 +413,13 @@ class TestRunChain:
         with pytest.raises(InsufficientDataError):
             run_chain(MODEL_NORMAL, returns, _SMOKE_CONFIG)
 
+    def test_acceptance_counts_kept_steps_only(self, normal_chain):
+        # an accepted candidate moves the chain; whether the first kept step
+        # moved depends on the burn-in's last position, which is not kept
+        moves = int(np.any(np.diff(normal_chain.samples_log, axis=0) != 0.0, axis=1).sum())
+        accepts = normal_chain.acceptance_rate * normal_chain.samples.shape[0]
+        assert moves <= round(accepts) <= moves + 1
+
     def test_start_scored_once_after_the_search(self, monkeypatch):
         _, returns = _synthetic_returns(n=200)
         searched, rows = [], []
@@ -698,7 +706,7 @@ class TestRunChains:
         chains = run_chains(model, returns, config, n_chains=3)
         seeds = np.random.SeedSequence(9).generate_state(3)
         for chain, seed in zip(chains, seeds):
-            alone = run_chain(model, returns, ChainConfig(burn_in=600, samples=2500, seed=int(seed)))
+            alone = run_chain(model, returns, replace(config, seed=int(seed)))
             np.testing.assert_array_equal(chain.samples_log, alone.samples_log)
             np.testing.assert_array_equal(chain.log_posteriors, alone.log_posteriors)
             np.testing.assert_array_equal(chain.log_likelihoods, alone.log_likelihoods)

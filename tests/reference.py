@@ -1,7 +1,9 @@
 """Deliberately plain references shared by the tests.
 
-The library scores the MH target a block of points at a time, through masks;
-these score one point the obvious way, so the tests can compare the two.
+The library works on blocks: the MH target scores many points at a time
+through masks, and a resampled grid holds the days that share a session
+layout as rows of one array.  These take one point or one day the obvious
+way, so the tests can compare the two.
 """
 
 import math
@@ -34,7 +36,7 @@ def grid_sessions(grid):
     read from the rows of its blocks split at ``session_ends``."""
     days = [None] * len(grid.dates)
     for block in grid.blocks:
-        starts = [0, *block.session_ends[:-1]]
+        spans = list(zip([0, *block.session_ends[:-1]], block.session_ends))
         for pos, row in zip(block.positions.tolist(), block.log_prices):
-            days[pos] = (grid.dates[pos], [row[a:b] for a, b in zip(starts, block.session_ends)])
+            days[pos] = (grid.dates[pos], [row[a:b] for a, b in spans])
     return days

@@ -303,7 +303,6 @@ class TestFit:
         _, header, _ = _read_csv(out / "chain_garch-re.csv")
         assert header == ["omega", "alpha", "beta", "a"]
 
-
     def test_improper_ridge_exits_1(self, tmp_path, capsys):
         # 31 closes on which the garch-re chain runs off along a -> inf
         truth = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)

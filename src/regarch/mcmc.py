@@ -163,34 +163,25 @@ def adapt_proposal(history, dof):
 
 @dataclass(slots=True)
 class MhState:
-    """A scored point: log target and proposal log density at ``position``."""
+    """A scored point: log target and log-likelihood at ``position``."""
 
     position: np.ndarray
     log_target: float
-    log_proposal: float
-    log_likelihood: float = math.nan
+    log_likelihood: float
 
 
-def mh_step(state, candidate, u):
-    """Independence MH accept test on precomputed scores.
-
-    ``u`` is the step's uniform draw.  Returns (new_state, accepted).
-    """
-    if candidate.log_target == -math.inf:
-        return state, False
-    log_ratio = (
-        candidate.log_target
-        - state.log_target
-        + state.log_proposal
-        - candidate.log_proposal
-    )
+def mh_step(current, candidate, u):
+    """Independence MH accept test on precomputed (log target, proposal log
+    density) pairs ``current`` and ``candidate``, with the step's uniform
+    draw ``u``.  Returns whether the candidate is accepted."""
+    log_target, log_proposal = current
+    candidate_target, candidate_proposal = candidate
+    if candidate_target == -math.inf:
+        return False
+    log_ratio = candidate_target - log_target + log_proposal - candidate_proposal
     if math.isnan(log_ratio):
-        accepted = state.log_target == -math.inf
-    else:
-        accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
-    if accepted:
-        return candidate, True
-    return state, False
+        return log_target == -math.inf
+    return log_ratio >= 0.0 or u < math.exp(log_ratio)
 
 
 def acf(series, max_lag):
@@ -286,8 +277,8 @@ class ChainConfig:
     init_variance: float | None = None
 
     def __post_init__(self):
-        if self.samples <= 0:
-            raise ValidationError("samples must be positive")
+        if self.samples < 2:
+            raise ValidationError("samples must be at least 2 for a posterior sd")
         if self.adapt_interval <= 0:
             raise ValidationError("adapt_interval must be positive")
         if self.burn_in < self.adapt_interval:
@@ -403,41 +394,28 @@ def _laplace_scale(target, x, f0, nu):
     curvature is unusable.
     """
     d = x.shape[0]
-    fallback = np.eye(d) * 0.01
     h = 1e-3
     steps = h * np.eye(d)
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    points = []
-    for i, j in pairs:
-        if i == j:
-            points += [x + steps[i], x - steps[i]]
-        else:
-            points += [
-                x + steps[i] + steps[j],
-                x + steps[i] - steps[j],
-                x - steps[i] + steps[j],
-                x - steps[i] - steps[j],
-            ]
-    # all points in one block call; each score equals the scalar call's
-    scores = iter(target.score(np.array(points))[0].tolist())
-    hess = np.empty((d, d))
-    for i, j in pairs:
-        if i == j:
-            val = (next(scores) - 2.0 * f0 + next(scores)) / h**2
-        else:
-            val = (
-                next(scores) - next(scores) - next(scores) + next(scores)
-            ) / (4.0 * h**2)
-        if not math.isfinite(val):
-            return fallback * (nu - 2.0) / nu
-        hess[i, j] = hess[j, i] = val
-    lam, vec = np.linalg.eigh(-hess)
-    if not np.isfinite(lam).all() or lam.max() <= 0.0:
-        return fallback * (nu - 2.0) / nu
-    # covariance eigenvalues floored/capped to a sane log-coordinate range
-    var = np.clip(1.0 / np.maximum(lam, 1e-12), 1e-4, 1.0)
-    cov = (vec * var) @ vec.T
-    return cov * (nu - 2.0) / nu
+    up, down = x + steps, x - steps
+    i, j = np.triu_indices(d, 1)
+    c = len(i)
+    points = (
+        up, down, up[i] + steps[j], up[i] - steps[j], down[i] + steps[j], down[i] - steps[j]
+    )
+    # all 2d + 4c points in one block call; each score equals the scalar call's
+    scores = target.score(np.concatenate(points))[0]
+    f_up, f_down, f_uu, f_ud, f_du, f_dd = np.split(scores, np.cumsum([d, d, c, c, c]))
+    with np.errstate(invalid="ignore"):
+        hess = np.diag((f_up - 2.0 * f0 + f_down) / h**2)
+        hess[i, j] = hess[j, i] = (f_uu - f_ud - f_du + f_dd) / (4.0 * h**2)
+    if np.isfinite(hess).all():
+        lam, vec = np.linalg.eigh(-hess)
+        if np.isfinite(lam).all() and lam.max() > 0.0:
+            # covariance eigenvalues floored/capped to a sane log-coordinate range
+            var = np.clip(1.0 / np.maximum(lam, 1e-12), 1e-4, 1.0)
+            cov = (vec * var) @ vec.T
+            return cov * (nu - 2.0) / nu
+    return np.eye(d) * 0.01 * (nu - 2.0) / nu
 
 
 class _LogTarget:
@@ -468,8 +446,6 @@ class _LogTarget:
         self.init_variance = init_variance
 
     def __call__(self, x):
-        # a Python float: an np.float64 -inf would warn in the Laplace
-        # differences
         return float(self.score(x[None])[0][0])
 
     def score(self, xs):
@@ -499,21 +475,27 @@ def _draw_block(proposal, rng, count):
     return proposal.transform(z, w), u
 
 
-def _mh_block(state, proposal, target, rng, count):
-    """``count`` MH steps under one fixed proposal; returns the state after
-    each step and the number of accepts."""
-    xs, us = _draw_block(proposal, rng, count)
-    lts, lls = target.score(xs)
-    lqs = proposal.log_density(xs)
-    candidates = map(MhState, xs, lts.tolist(), lqs.tolist(), lls.tolist())
-    state = replace(state, log_proposal=proposal.log_density(state.position))
-    visited = []
-    accepts = 0
-    for candidate, u in zip(candidates, us.tolist()):
-        state, accepted = mh_step(state, candidate, u)
-        accepts += accepted
-        visited.append(state)
-    return visited, accepts
+def _mh_block(positions, log_targets, log_liks, proposal, target, rng):
+    """MH steps under one fixed proposal, in place on views of the chain
+    arrays: row 0 holds the state the block enters from, and row k becomes
+    the state after step k.  Returns the number of accepts."""
+    # the candidates go in first; the rows the accept pass held replace them
+    positions[1:], us = _draw_block(proposal, rng, len(positions) - 1)
+    log_targets[1:], log_liks[1:] = target.score(positions[1:])
+    candidates = zip(log_targets[1:].tolist(), proposal.log_density(positions[1:]).tolist())
+    # the entering state is rescored under this block's proposal
+    current = (float(log_targets[0]), proposal.log_density(positions[0]))
+    held = np.empty(us.shape, dtype=np.intp)
+    row = accepts = 0
+    for step, (candidate, u) in enumerate(zip(candidates, us.tolist())):
+        if mh_step(current, candidate, u):
+            current, row = candidate, step + 1
+            accepts += 1
+        held[step] = row
+    positions[1:] = positions[held]
+    log_targets[1:] = log_targets[held]
+    log_liks[1:] = log_liks[held]
+    return accepts
 
 
 def _nelder_mead(func, x0, maxiter, xatol, fatol):
@@ -610,38 +592,40 @@ def _start(target, nu):
     x_start = np.asarray(x_start, dtype=np.float64)
     lt, ll = (float(s[0]) for s in target.score(x_start[None]))
     proposal = StudentTProposal(x_start, _laplace_scale(target, x_start, lt, nu), nu)
-    return MhState(x_start, lt, math.nan, ll), proposal
+    return MhState(x_start, lt, ll), proposal
 
 
 def _chain(target, state, proposal, config):
     """One chain from a scored start ``state`` and its proposal.
 
-    The steps run in blocks: one per adaptation interval of burn-in, with
-    the proposal refitted to every position so far after each full one,
-    then up to ``_FROZEN_BLOCK`` steps at a time under the frozen proposal.
-    Only the kept steps count toward the acceptance rate.
+    The chain arrays, the sampler's only record, hold the start in row 0 and
+    the state after step k in row k.  The steps run in blocks: one per
+    adaptation interval of burn-in, refitting the proposal to all rows after
+    the start after each full one, then up to ``_FROZEN_BLOCK`` steps at a
+    time under the frozen proposal.  Only kept steps count as accepts.
     """
     rng = np.random.default_rng(config.seed)
     burn_in, interval = config.burn_in, config.adapt_interval
     steps = burn_in + config.samples
-    positions = np.empty((steps, len(target.names)))
-    log_targets = np.empty(steps)
-    log_liks = np.empty(steps)
+    positions = np.empty((steps + 1, len(target.names)))
+    log_targets = np.empty(steps + 1)
+    log_liks = np.empty(steps + 1)
+    positions[0] = state.position
+    log_targets[0], log_liks[0] = state.log_target, state.log_likelihood
     bounds = [*range(0, burn_in, interval), *range(burn_in, steps, _FROZEN_BLOCK), steps]
     accepts = 0
     for start, stop in zip(bounds, bounds[1:]):
-        visited, block_accepts = _mh_block(state, proposal, target, rng, stop - start)
-        state = visited[-1]
-        positions[start:stop] = [s.position for s in visited]
-        log_targets[start:stop] = [s.log_target for s in visited]
-        log_liks[start:stop] = [s.log_likelihood for s in visited]
+        rows = slice(start, stop + 1)
+        block_accepts = _mh_block(
+            positions[rows], log_targets[rows], log_liks[rows], proposal, target, rng
+        )
         if start >= burn_in:
             accepts += block_accepts
         elif stop % interval == 0:
             # an interval without accepts has nothing new to learn from; widen
             # the net instead
             proposal = (
-                adapt_proposal(positions[:stop], config.nu)
+                adapt_proposal(positions[1 : stop + 1], config.nu)
                 if block_accepts
                 else StudentTProposal(proposal.location, proposal.scale * 4.0, config.nu)
             )
@@ -654,7 +638,7 @@ def _chain(target, state, proposal, config):
             "or burn-in too small)"
         )
 
-    samples_log = positions[burn_in:]
+    samples_log = positions[burn_in + 1 :]
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.exp(samples_log)
         theta_bar = samples.mean(axis=0)
@@ -694,8 +678,8 @@ def _chain(target, state, proposal, config):
         param_names=target.names,
         samples=samples,
         samples_log=samples_log,
-        log_posteriors=log_targets[burn_in:],
-        log_likelihoods=log_liks[burn_in:],
+        log_posteriors=log_targets[burn_in + 1 :],
+        log_likelihoods=log_liks[burn_in + 1 :],
         acceptance_rate=acceptance_rate,
         summaries=summaries,
         lnl_at_mean=float(lnl_at_mean),
@@ -709,13 +693,13 @@ def run_chain(model, returns, config=None):
     """Estimate ``model`` ("garch-n" or "garch-re") on a return series.
 
     Finds the start state and proposal (:func:`_start`), then runs one chain
-    from them (:func:`_chain`).  Raises :class:`AdaptationFailureError`
-    when the kept acceptance rate is degenerate (< 1%), and
-    :class:`NumericalError` when the posterior mean or an sd is not finite.
+    from them (:func:`_chain`).  Raises :class:`ValidationError` for run
+    lengths the sampler cannot use, :class:`AdaptationFailureError` when the
+    kept acceptance rate is degenerate (< 1%), and :class:`NumericalError`
+    when the posterior mean or an sd is not finite.
     """
     config = config or ChainConfig()
-    target = _LogTarget(model, returns, config.prior, config.init_variance)
-    return _chain(target, *_start(target, config.nu), config)
+    return _chains(model, returns, config, [config.seed])[0]
 
 
 def run_chains(model, returns, config=None, n_chains=2):
@@ -724,7 +708,17 @@ def run_chains(model, returns, config=None, n_chains=2):
     if n_chains < 1:
         raise DomainError("n_chains must be at least 1")
     config = config or ChainConfig()
-    target = _LogTarget(model, returns, config.prior, config.init_variance)
-    start = _start(target, config.nu)
     seeds = np.random.SeedSequence(config.seed).generate_state(n_chains)
+    return _chains(model, returns, config, seeds)
+
+
+def _chains(model, returns, config, seeds):
+    """One chain per seed from one start search.  A proposal refit needs
+    d + 2 draws of the d parameters, so a shorter adaptation interval is
+    refused before the search."""
+    target = _LogTarget(model, returns, config.prior, config.init_variance)
+    d = len(target.names)
+    if config.adapt_interval < d + 2:
+        raise ValidationError(f"adapt_interval must be at least {d + 2} for {model}")
+    start = _start(target, config.nu)
     return [_chain(target, *start, replace(config, seed=int(s))) for s in seeds]

@@ -41,7 +41,7 @@ from .data import (
     TickSeries,
     _TradingDays,
 )
-from .exceptions import DomainError
+from .exceptions import DomainError, ValidationError
 from .garch import RATIONAL, GarchParams, VolSeries, check_constraints
 from .realized import NoiseModel
 
@@ -53,13 +53,20 @@ def simulate_garch(params, length, rng, start_date=date(2006, 1, 2), calendar=No
     when the process is stationary, at omega otherwise.  Dates run over
     the calendar's trading days (weekdays by default).
     """
+    sig2, y = _garch_path(params, length, rng)
+    if calendar is None:
+        calendar = SessionCalendar.tokyo()
+    dates = tuple(calendar.trading_days(start_date, length))
+    return ReturnSeries(dates, y), VolSeries(dates, sig2)
+
+
+def _garch_path(params, length, rng):
+    """The conditional variances and returns of :func:`simulate_garch`."""
     report = check_constraints(params)
     if not report.valid:
         raise DomainError("; ".join(report.violations))
     if length < 1:
         raise DomainError("length must be at least 1")
-    if calendar is None:
-        calendar = SessionCalendar.tokyo()
 
     if params.law == RATIONAL:
         eps = rational.sample(length, params.a, rng)
@@ -75,9 +82,9 @@ def simulate_garch(params, length, rng, start_date=date(2006, 1, 2), calendar=No
             s = omega + alpha * y[t - 1] ** 2 + beta * s
         sig2[t] = s
         y[t] = math.sqrt(s) * eps[t]
-
-    dates = tuple(calendar.trading_days(start_date, length))
-    return ReturnSeries(dates, y), VolSeries(dates, sig2)
+    if not np.isfinite(y).all():
+        raise ValidationError("the GARCH path overflowed; returns must be finite")
+    return sig2, y
 
 
 @dataclass
@@ -154,14 +161,11 @@ def _session_layout(sessions, steps_per_day):
     return np.concatenate(offsets), layout, total
 
 
-def _days_total_variance(spec, days, rng, calendar):
+def _days_total_variance(spec, days, rng):
     """Per-day total close-to-close variance plus pinned daily returns."""
     f = spec.overnight_fraction
     if spec.garch is not None:
-        ret, vol = simulate_garch(
-            spec.garch, days, rng, start_date=spec.start_date, calendar=calendar
-        )
-        return vol.values.copy(), ret.values.copy()
+        return _garch_path(spec.garch, days, rng)
     v = np.asarray(spec.day_variances, dtype=np.float64)
     if v.ndim == 0:
         v = np.full(days, float(v))
@@ -191,7 +195,7 @@ def simulate_intraday(spec, days, rng, calendar=None):
     noise_rngs = noise_rng.spawn(days)
 
     f = spec.overnight_fraction
-    total_var, pinned_returns = _days_total_variance(spec, days, gap_rng, calendar)
+    total_var, pinned_returns = _days_total_variance(spec, days, gap_rng)
     session_var = total_var * (1.0 - f)
     gap_var = total_var * f
 

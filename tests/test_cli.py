@@ -303,6 +303,22 @@ class TestFit:
         _, header, _ = _read_csv(out / "chain_garch-re.csv")
         assert header == ["omega", "alpha", "beta", "a"]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--adapt-interval", "2"], "adapt_interval must be at least 5"),
+            (["--samples", "1"], "samples must be at least 2"),
+        ],
+    )
+    def test_unusable_chain_lengths_exit_2(self, market, tmp_path, capsys, flags, message):
+        args = [
+            "fit", "--model", "garch-n", "--data", str(market / "daily.csv"),
+            "--out-dir", str(tmp_path),
+        ] + _FAST_CHAIN + flags
+        assert cli.main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_improper_ridge_exits_1(self, tmp_path, capsys):
         # 31 closes on which the garch-re chain runs off along a -> inf
         truth = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)

@@ -27,7 +27,6 @@ from regarch.mcmc import (
     MODEL_RATIONAL,
     AcfDiagnostics,
     ChainConfig,
-    MhState,
     Prior,
     StudentTProposal,
     acf,
@@ -201,19 +200,22 @@ class TestMhStep:
 
     @staticmethod
     def _scored(proposal, log_target, x):
-        return MhState(x, log_target(x), proposal.log_density(x))
+        return log_target(x), proposal.log_density(x)
 
     def test_recovers_gaussian_target(self):
         proposal = StudentTProposal(np.zeros(1), np.eye(1) * 1.5, 8.0)
         rng = np.random.default_rng(5)
-        state = self._scored(proposal, self._gaussian, np.array([3.0]))
+        x = np.array([3.0])
+        current = self._scored(proposal, self._gaussian, x)
         draws = np.empty(20_000)
         accepted = 0
         for i in range(draws.shape[0]):
-            candidate = self._scored(proposal, self._gaussian, proposal.sample(rng))
-            state, a = mh_step(state, candidate, rng.random())
-            draws[i] = state.position[0]
-            accepted += a
+            y = proposal.sample(rng)
+            candidate = self._scored(proposal, self._gaussian, y)
+            if mh_step(current, candidate, rng.random()):
+                x, current = y, candidate
+                accepted += 1
+            draws[i] = x[0]
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
         assert 0.7 < accepted / draws.shape[0] < 0.95
@@ -221,22 +223,21 @@ class TestMhStep:
     def test_impossible_candidate_rejected(self):
         proposal = StudentTProposal(np.zeros(1), np.eye(1), 8.0)
         rng = np.random.default_rng(0)
-        state = MhState(np.array([0.5]), 0.0, proposal.log_density(np.array([0.5])))
+        current = (0.0, proposal.log_density(np.array([0.5])))
         candidate = self._scored(proposal, lambda v: -math.inf, proposal.sample(rng))
-        new, accepted = mh_step(state, candidate, rng.random())
-        assert not accepted
-        assert new is state
+        assert mh_step(current, candidate, rng.random()) is False
+        # even from an impossible state
+        assert mh_step((-math.inf, current[1]), candidate, rng.random()) is False
 
     def test_escapes_impossible_start(self):
         proposal = StudentTProposal(np.zeros(1), np.eye(1), 8.0)
         rng = np.random.default_rng(0)
-        state = MhState(
-            np.array([50.0]), -math.inf, proposal.log_density(np.array([50.0]))
-        )
+        current = (-math.inf, proposal.log_density(np.array([50.0])))
         candidate = self._scored(proposal, self._gaussian, proposal.sample(rng))
-        new, accepted = mh_step(state, candidate, rng.random())
-        assert accepted
-        assert math.isfinite(new.log_target)
+        assert math.isfinite(candidate[0])
+        assert mh_step(current, candidate, rng.random()) is True
+        # a start the proposal cannot reach either makes the ratio NaN
+        assert mh_step((-math.inf, -math.inf), candidate, 1.0) is True
 
 
 class TestAcf:
@@ -328,6 +329,7 @@ class TestChainConfig:
         "kwargs",
         [
             {"samples": 0},
+            {"samples": 1},
             {"adapt_interval": 0},
             {"burn_in": 100, "adapt_interval": 200},
             {"nu": 2.0},
@@ -412,6 +414,20 @@ class TestRunChain:
         _, returns = _synthetic_returns(n=20)
         with pytest.raises(InsufficientDataError):
             run_chain(MODEL_NORMAL, returns, _SMOKE_CONFIG)
+
+    @pytest.mark.parametrize("run", [run_chain, run_chains])
+    @pytest.mark.parametrize("model, interval", [(MODEL_NORMAL, 4), (MODEL_RATIONAL, 5)])
+    def test_adapt_interval_too_short_to_refit_refused_before_the_search(
+        self, monkeypatch, run, model, interval
+    ):
+        # a refit of the d-dimensional proposal needs d + 2 draws
+        _, returns = _synthetic_returns(n=200)
+        searched = []
+        monkeypatch.setattr(mcmc, "_nelder_mead", lambda *args, **kwargs: searched.append(1))
+        config = ChainConfig(burn_in=600, samples=500, adapt_interval=interval)
+        with pytest.raises(ValidationError, match=f"at least {interval + 1} for {model}"):
+            run(model, returns, config)
+        assert not searched
 
     def test_acceptance_counts_kept_steps_only(self, normal_chain):
         # an accepted candidate moves the chain; whether the first kept step
@@ -544,6 +560,32 @@ class TestBlockScoredChain:
             model, returns, config
         )
         assert outside_box > 0
+        np.testing.assert_array_equal(chain.samples_log, samples_log)
+        np.testing.assert_array_equal(chain.log_posteriors, log_posts)
+        np.testing.assert_array_equal(chain.log_likelihoods, log_liks)
+
+    def test_interval_without_accepts_widens(self, monkeypatch):
+        params = GarchParams(5e-5, 0.1, 0.8, law=RATIONAL, a=1.57)
+        returns, _ = simulate_garch(params, 300, np.random.default_rng(8))
+        # ten intervals of six steps, the fewest a garch-re refit can use
+        config = ChainConfig(burn_in=60, adapt_interval=6, samples=1500, seed=1)
+        blocks = []
+        block = mcmc._mh_block
+
+        def recorded(positions, log_targets, log_liks, *rest):
+            accepts = block(positions, log_targets, log_liks, *rest)
+            repeats = (positions == positions[0]).all() and (log_targets == log_targets[0]).all()
+            blocks.append((accepts, repeats))
+            return accepts
+
+        monkeypatch.setattr(mcmc, "_mh_block", recorded)
+        chain = run_chain(MODEL_RATIONAL, returns, config)
+        burn_in_blocks = blocks[: config.burn_in // config.adapt_interval]
+        widened = [repeats for accepts, repeats in burn_in_blocks if accepts == 0]
+        # the widening path runs, and a block without accepts holds its
+        # entering state throughout
+        assert widened and all(widened)
+        samples_log, log_posts, log_liks, _ = _reference_chain(MODEL_RATIONAL, returns, config)
         np.testing.assert_array_equal(chain.samples_log, samples_log)
         np.testing.assert_array_equal(chain.log_posteriors, log_posts)
         np.testing.assert_array_equal(chain.log_likelihoods, log_liks)

@@ -15,7 +15,7 @@ from regarch.data import (
     write_daily_csv,
     write_ticks_csv,
 )
-from regarch.exceptions import DomainError
+from regarch.exceptions import DomainError, ValidationError
 from regarch.garch import RATIONAL, GarchParams, volatility_recursion
 from regarch.realized import NoiseModel, hl_factor, rv_from_ticks
 from regarch.simulate import DiffusionSpec, simulate_garch, simulate_intraday
@@ -229,6 +229,13 @@ class TestIntradayTruth:
         spec = DiffusionSpec(day_variances=1e-4)
         with pytest.raises(DomainError, match="days"):
             simulate_intraday(spec, 0, np.random.default_rng(0), _CAL)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_garch_path_rejected(self):
+        # alpha + beta far above 1: sigma^2 overflows within 3000 days
+        spec = DiffusionSpec(steps_per_day=2, garch=GarchParams(1e-5, 3.0, 0.9))
+        with pytest.raises(ValidationError, match="returns must be finite"):
+            simulate_intraday(spec, 3000, np.random.default_rng(0), _CAL)
 
 
 class TestCsvRoundTrip:

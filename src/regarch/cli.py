@@ -47,7 +47,13 @@ from .exceptions import (
     ValidationError,
 )
 from .garch import NORMAL, RATIONAL, GarchParams, VolSeries, volatility_recursion
-from .mcmc import MODEL_NORMAL, MODEL_RATIONAL, ChainConfig, run_chain
+from .mcmc import (
+    MODEL_NORMAL,
+    MODEL_RATIONAL,
+    ChainConfig,
+    check_adapt_interval,
+    run_chain,
+)
 from .realized import (
     NoiseModel,
     SignatureCurve,
@@ -293,10 +299,10 @@ def cmd_fit(args):
 
 
 def _fit_both(args, returns):
-    chains = {}
+    config = _chain_config(args)
     for model in _MODELS:
-        chains[model] = run_chain(model, returns, _chain_config(args))
-    return chains
+        check_adapt_interval(model, config)
+    return {model: run_chain(model, returns, config) for model in _MODELS}
 
 
 def _export_chain(chain, out, invocation):

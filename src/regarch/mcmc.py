@@ -712,13 +712,18 @@ def run_chains(model, returns, config=None, n_chains=2):
     return _chains(model, returns, config, seeds)
 
 
-def _chains(model, returns, config, seeds):
-    """One chain per seed from one start search.  A proposal refit needs
-    d + 2 draws of the d parameters, so a shorter adaptation interval is
-    refused before the search."""
-    target = _LogTarget(model, returns, config.prior, config.init_variance)
-    d = len(target.names)
+def check_adapt_interval(model, config):
+    """Refuse an adaptation interval too short to refit ``model``'s
+    proposal, which needs d + 2 draws of the d parameters."""
+    d = 4 if _LAW_FOR_MODEL[model] == RATIONAL else 3
     if config.adapt_interval < d + 2:
         raise ValidationError(f"adapt_interval must be at least {d + 2} for {model}")
+
+
+def _chains(model, returns, config, seeds):
+    """One chain per seed from one start search, which a too short
+    adaptation interval never reaches."""
+    target = _LogTarget(model, returns, config.prior, config.init_variance)
+    check_adapt_interval(model, config)
     start = _start(target, config.nu)
     return [_chain(target, *start, replace(config, seed=int(s))) for s in seeds]

@@ -2,11 +2,23 @@
 
 The scalar kernels run the variance recursion as a plain float loop and the
 likelihood terms as NumPy array operations, summed pairwise by
-``ndarray.sum``.  The block kernels score many parameter points at once:
-the recursion runs time-major, vectorised across the points, and the terms
-are summed row by row, so each row is bit for bit the scalar kernel's
-result.  :func:`regarch.garch.log_likelihoods` runs the scalar kernel for
-one point and the block kernels for more.
+``ndarray.sum``.  :func:`regarch.garch.log_likelihoods` runs the scalar
+kernel for one point and the block kernels for more.
+
+The block kernels score many parameter points at once.  The recursion runs
+time-major over all the points of a pass, vectorised across them, one leaf
+of time steps at a time, and each leaf's terms are computed in place on
+buffers reused across leaves.  Each row is still bit for bit the scalar
+kernel's result, because ``ndarray.sum`` adds a contiguous row in a fixed
+order (Higham, SIAM J. Sci. Comput. 14(4), 1993): a range longer than 128
+elements splits at half its length, rounded down to a multiple of 8; a leaf
+of 8 or more elements is summed by eight interleaved accumulators, combined
+as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and then the remainder in
+order; a shorter leaf is a running sum.  The block kernels sum each leaf
+column by column in that order and combine the leaf sums in that tree.  A
+NumPy release that changed its reduction would break the equality, and the
+differential tests, which compare block rows with the scalar kernel at
+lengths on both sides of each leaf and split boundary, would catch it.
 """
 
 import numpy as np
@@ -14,11 +26,12 @@ import numpy as np
 _LN_2PI = 1.8378770664093453
 _LN_PI = 1.1447298858494002
 
-# cap on points x observations per block-kernel pass; the pass holds one
-# array of this many doubles (4 MB)
+# the longest range ndarray.sum adds without splitting (PW_BLOCKSIZE in
+# NumPy's loops_utils.h)
+_LEAF = 128
+# cap on the doubles in a pass's three leaf buffers, which sets the points
+# per pass: _BLOCK_ELEMENTS // (3 * _LEAF)
 _BLOCK_ELEMENTS = 1 << 19
-# time steps per slab of the block kernel's variance recursion
-_SLAB = 32
 
 
 def _variance_path(omega, alpha, beta, returns, init_variance):
@@ -92,54 +105,101 @@ def rational_loglik(omega, alpha, beta, a, returns, init_variance):
     return _finish(sig2, lambda s, n: _rational_terms(s, returns[:n] ** 2, a))
 
 
-def _variance_slabs(omega, alpha, beta, returns, init_variance):
-    """Yield (t0, sig2) with sig2 the (steps, points) variances from time t0,
-    in slabs of up to ``_SLAB`` steps.  The recursion runs over time,
-    vectorised across points, in the scalar kernel's operation order."""
-    n = returns.shape[0]
-    step = np.empty(omega.shape[0])
-    prev = None
-    for t0 in range(0, n, _SLAB):
-        sig2 = np.empty((min(_SLAB, n - t0), omega.shape[0]))
-        first = 0
-        if prev is None:
-            sig2[0] = prev = init_variance
-            first = 1
-        y2 = returns[t0 + first - 1 : t0 + sig2.shape[0] - 1] ** 2
-        sig2[first:] = omega + alpha * y2[:, None]
-        for cur in sig2[first:]:
-            np.multiply(beta, prev, out=step)
-            np.add(cur, step, out=cur)
-            prev = cur
-        yield t0, sig2
+def _normal_terms_into(s, y2, bufs):
+    """``_normal_terms(s, y2)``, overwriting ``s``."""
+    quotient = np.divide(y2, s, out=bufs[0])
+    np.log(s, out=s)
+    s += _LN_2PI
+    s += quotient
+    s *= -0.5
+    return s
 
 
-def _loglik_rows(omega, alpha, beta, law_params, returns, init_variance, terms_of):
-    """Row sums of the likelihood terms of each point; -inf for a point the
-    scalar kernel would report a bad index for."""
-    terms = np.empty((omega.shape[0], returns.shape[0]))
-    bad = np.zeros(omega.shape[0], dtype=bool)
-    for t0, sig2 in _variance_slabs(omega, alpha, beta, returns, init_variance):
-        y2 = (returns[t0 : t0 + sig2.shape[0]] ** 2)[:, None]
-        terms[:, t0 : t0 + sig2.shape[0]] = terms_of(sig2, y2, *law_params).T
-        bad |= ~(np.isfinite(sig2) & (sig2 > 0.0)).all(axis=0)
-    bad |= ~np.isfinite(terms).all(axis=1)
-    # each row is contiguous, so its sum is the scalar kernel's pairwise sum
-    ll = terms.sum(axis=1)
-    ll[bad] = -np.inf
+def _rational_terms_into(s, y2, bufs, a):
+    """``_rational_terms(s, y2, a)``, overwriting ``s`` and ``bufs``."""
+    x2 = np.divide(y2, s, out=bufs[0])
+    den = np.subtract(x2, 1.0, out=bufs[1])
+    np.square(den, out=den)
+    x2 *= a * a
+    den += x2
+    terms = np.log(den, out=den)
+    np.subtract(np.log(a) - _LN_PI, terms, out=terms)
+    np.log(s, out=s)
+    s *= 0.5
+    terms -= s
+    return terms
+
+
+def _leaf_sum(terms):
+    """Column sums of a (steps, points) leaf, each added as ``ndarray.sum``
+    adds a leaf of that many steps."""
+    steps = terms.shape[0]
+    if steps < 8:
+        total = np.zeros(terms.shape[1])
+        for row in terms:
+            total += row
+        return total
+    whole = steps - steps % 8
+    r = terms[:8].copy()
+    for i in range(8, whole, 8):
+        r += terms[i : i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in terms[whole:]:
+        total += row
+    return total
+
+
+def _pairwise_sum(lo, hi, leaf_sum):
+    """``leaf_sum`` over time steps ``lo`` to ``hi`` combined in the tree of
+    ``ndarray.sum``; the leaves are called in time order."""
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf_sum(lo, hi)
+    half = n // 2 - n // 2 % 8
+    left = _pairwise_sum(lo, lo + half, leaf_sum)
+    return left + _pairwise_sum(lo + half, hi, leaf_sum)
+
+
+def _loglik_pass(omega, alpha, beta, law_params, y2, init_variance, terms_into):
+    """Log-likelihood at each point; -inf for a point the scalar kernel
+    would report a bad index for."""
+    bufs = np.empty((3, min(_LEAF, y2.shape[0]), omega.shape[0]))
+    # beta times the variance before the next one: its own array, as the
+    # buffer row it comes from is overwritten by the next leaf
+    step = beta * init_variance
+
+    def leaf_sum(lo, hi):
+        # rows t = lo..hi-1: s[0] = init_variance at t = 0, then
+        # s[t] = (omega + alpha * y2[t-1]) + beta * s[t-1]
+        s = bufs[0, : hi - lo]
+        first = 1 if lo == 0 else 0
+        s[:first] = init_variance
+        np.multiply(alpha, y2[lo + first - 1 : hi - 1, None], out=s[first:])
+        s[first:] += omega
+        for row in s[first:]:
+            row += step
+            np.multiply(beta, row, out=step)
+        terms = terms_into(s, y2[lo:hi, None], bufs[1:, : hi - lo], *law_params)
+        return _leaf_sum(terms)
+
+    ll = _pairwise_sum(0, y2.shape[0], leaf_sum)
+    # a variance outside (0, inf) makes its own term non-finite, and one
+    # non-finite term makes the sum non-finite
+    ll[~np.isfinite(ll)] = -np.inf
     return ll
 
 
-def _loglik_block(params, returns, init_variance, terms_of):
-    """Log-likelihood at each point, at most ``_BLOCK_ELEMENTS`` point-steps
-    per pass."""
+def _loglik_block(params, returns, init_variance, terms_into):
+    """Log-likelihood at each point, ``_BLOCK_ELEMENTS // (3 * _LEAF)``
+    points per pass."""
     out = np.empty(params[0].shape[0])
-    rows = max(1, _BLOCK_ELEMENTS // max(returns.shape[0], 1))
+    rows = max(1, _BLOCK_ELEMENTS // (3 * _LEAF))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y2 = returns**2
         for lo in range(0, out.shape[0], rows):
             omega, alpha, beta, *law_params = (p[lo : lo + rows] for p in params)
-            out[lo : lo + rows] = _loglik_rows(
-                omega, alpha, beta, law_params, returns, init_variance, terms_of
+            out[lo : lo + rows] = _loglik_pass(
+                omega, alpha, beta, law_params, y2, init_variance, terms_into
             )
     return out
 
@@ -147,12 +207,14 @@ def _loglik_block(params, returns, init_variance, terms_of):
 def normal_loglik_block(omega, alpha, beta, returns, init_variance):
     """Gaussian log-likelihood at each point of the parameter arrays;
     -inf where :func:`normal_loglik` reports a bad index."""
-    return _loglik_block((omega, alpha, beta), returns, init_variance, _normal_terms)
+    return _loglik_block(
+        (omega, alpha, beta), returns, init_variance, _normal_terms_into
+    )
 
 
 def rational_loglik_block(omega, alpha, beta, a, returns, init_variance):
     """Rational-error log-likelihood at each point of the parameter arrays;
     -inf where :func:`rational_loglik` reports a bad index."""
     return _loglik_block(
-        (omega, alpha, beta, a), returns, init_variance, _rational_terms
+        (omega, alpha, beta, a), returns, init_variance, _rational_terms_into
     )

@@ -77,11 +77,13 @@ def _garch_path(params, length, rng):
     sig2 = np.empty(length)
     y = np.empty(length)
     s = omega / (1.0 - alpha - beta) if report.stationary else omega
-    for t in range(length):
-        if t > 0:
-            s = omega + alpha * y[t - 1] ** 2 + beta * s
-        sig2[t] = s
-        y[t] = math.sqrt(s) * eps[t]
+    # an explosive path overflows to inf and nan, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(length):
+            if t > 0:
+                s = omega + alpha * y[t - 1] ** 2 + beta * s
+            sig2[t] = s
+            y[t] = math.sqrt(s) * eps[t]
     if not np.isfinite(y).all():
         raise ValidationError("the GARCH path overflowed; returns must be finite")
     return sig2, y

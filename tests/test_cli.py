@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import regarch
-from regarch import cli
+from regarch import cli, mcmc
 from regarch.data import daily_log_returns, load_daily_prices
 from regarch.garch import RATIONAL, GarchParams
 from regarch.simulate import simulate_garch
@@ -245,6 +246,13 @@ class TestSimulate:
         assert cli.main(["simulate", "--days", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_explosive_path_exits_2_without_a_warning(self, tmp_path, capsys):
+        args = ["simulate", "--alpha", "3", "--beta", "0.9", "--days", "3000"]
+        assert cli.main(args + ["--out-dir", str(tmp_path)]) == 2
+        assert "the GARCH path overflowed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_calendar_without_trading_weekday(self, tmp_path, capsys):
         cal_path = tmp_path / "cal.json"
         cal_path.write_text(json.dumps({"weekday_sessions": {}}))
@@ -397,6 +405,24 @@ class TestCompare:
             "criteria agree: garch-re preferred by both\n"
             f"wrote {out / 'comparison.json'}\n"
         )
+
+    @pytest.mark.parametrize("command", ["compare", "rmspe"])
+    def test_short_adapt_interval_refused_before_either_chain(
+        self, market, tmp_path, capsys, command
+    ):
+        # 5 draws refit a garch-n proposal but not a garch-re one, and the
+        # garch-n chain runs first
+        args = [command, "--data", str(market / "daily.csv")]
+        args += ["--out-dir", str(tmp_path)]
+        if command == "rmspe":
+            args += ["--ticks", str(market / "ticks.csv"), "--delta-list", "900"]
+        args += _FAST_CHAIN + ["--adapt-interval", "5"]
+        started = AssertionError("a chain started")
+        with mock.patch.object(mcmc, "_start", side_effect=started):
+            assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "adapt_interval must be at least 6 for garch-re" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestRv:

@@ -259,19 +259,16 @@ class TestBlockKernel:
             max_size=12,
         ),
         st.floats(1e-6, 1e-2),
-        st.sampled_from([1, 97, 1 << 19]),
-        st.sampled_from([1, 5, 32]),
+        st.sampled_from([1, 1920, 1 << 19]),
     )
     @settings(max_examples=120, deadline=None)
     def test_rows_match_scalar_and_reference(
-        self, law, values, points, init, block_elements, slab
+        self, law, values, points, init, block_elements
     ):
         rets = _returns(values)
         thetas = np.array(points)[:, : 4 if law == RATIONAL else 3]
-        # small budgets and slabs split the block into several passes
-        with mock.patch.object(
-            recursions_python, "_BLOCK_ELEMENTS", block_elements
-        ), mock.patch.object(recursions_python, "_SLAB", slab):
+        # small budgets split the block into passes of 1 or 5 points
+        with mock.patch.object(recursions_python, "_BLOCK_ELEMENTS", block_elements):
             block = log_likelihoods(thetas, law, rets, init)
         for theta, got in zip(thetas, block):
             with warnings.catch_warnings():
@@ -282,6 +279,32 @@ class TestBlockKernel:
             assert got == expected
             reference, scale = _hand_loglik(law, theta, values, init)
             assert got == pytest.approx(reference, rel=1e-12, abs=1e-12 * scale)
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 1499, 3000]
+    )
+    @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
+    def test_rows_match_scalar_across_leaves(self, law, n):
+        # ndarray.sum adds up to 128 terms in one leaf and splits longer
+        # ranges at multiples of 8, so these lengths straddle a leaf, a split
+        # and (at 3000) three levels of splits; 2000 points, a frozen MH
+        # block, fill more than one pass
+        rng = np.random.default_rng(n)
+        rets = _returns(rng.standard_normal(n) * 0.01)
+        count = 2000 if n > 1000 else 60
+        thetas = np.column_stack(
+            [
+                rng.uniform(1e-7, 1e-4, count),
+                rng.uniform(0.01, 0.4, count),
+                rng.uniform(0.5, 1.02, count),
+                rng.uniform(0.3, 5.0, count),
+            ]
+        )[:, : 4 if law == RATIONAL else 3]
+        block = log_likelihoods(thetas, law, rets, 1e-4)
+        for theta, got in zip(thetas, block):
+            params = GarchParams.from_vector(theta, law=law)
+            assert got == log_likelihood(params, rets, 1e-4)
 
     @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
     @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
@@ -307,10 +330,11 @@ class TestBlockKernel:
     @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
     @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
     def test_one_row_matches_block_row_and_scalar(self, law):
-        # one row runs the scalar kernel, more rows the block kernels
+        # one row runs the scalar kernel, more rows the block kernels, which
+        # sum 300 steps in the leaves 0-71, 72-143, 144-215 and 216-299
         k = 4 if law == RATIONAL else 3
         good = np.array([1e-5, 0.1, 0.8, 1.6])[:k]
-        y = np.random.default_rng(5).standard_normal(40) * 0.01
+        y = np.random.default_rng(5).standard_normal(300) * 0.01
 
         def spiked(index, value):
             v = y.copy()
@@ -335,11 +359,12 @@ class TestBlockKernel:
         # double; index 0 holds the validated initial variance, so index 1
         # is the first a variance can go bad at
         cases += [
-            (spiked(p - 1, 1e154), 1e300, with_param(1, 10.0), p) for p in (1, 20, 39)
+            (spiked(p - 1, 1e154), 1e300, with_param(1, 10.0), p)
+            for p in (1, 20, 72, 200, 299)
         ]
         # a return of 1e200 makes its own term non-finite; at the last index
         # no variance follows it
-        cases.append((spiked(39, 1e200), 1e-4, good, 39))
+        cases += [(spiked(p, 1e200), 1e-4, good, p) for p in (150, 299)]
         for values, init, theta, error in cases:
             rets = _returns(values)
             one = log_likelihoods(theta[None], law, rets, init)

@@ -230,7 +230,7 @@ class TestIntradayTruth:
         with pytest.raises(DomainError, match="days"):
             simulate_intraday(spec, 0, np.random.default_rng(0), _CAL)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_garch_path_rejected(self):
         # alpha + beta far above 1: sigma^2 overflows within 3000 days
         spec = DiffusionSpec(steps_per_day=2, garch=GarchParams(1e-5, 3.0, 0.9))

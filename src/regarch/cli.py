@@ -372,17 +372,16 @@ def cmd_rv(args):
         returns = _load_returns(args.data)
     else:
         returns = daily_log_returns(daily_closes_from_ticks(ticks, calendar))
+    series = hl_adjusted_rv(ticks, calendar, args.delta_list, returns)
+    curve = SignatureCurve.from_rv(series)
 
     invocation = _invocation(args)
     comments = _comment_lines(invocation)
     out = _out_dir(args)
-
-    series = hl_adjusted_rv(ticks, calendar, args.delta_list, returns)
     for rv in series:
         rv_path = out / f"rv_{_fmt_delta(rv.delta_seconds)}s.csv"
         write_rv_csv(rv, rv_path, comments=comments)
         print(f"wrote {rv_path}")
-    curve = SignatureCurve.from_rv(series)
     signature_path = out / "signature.csv"
     write_signature_csv(curve, signature_path, comments=comments)
     hl_path = out / "hl.csv"
@@ -402,17 +401,15 @@ def cmd_rmspe(args):
     returns = _load_returns(args.data)
     ticks = load_ticks(args.ticks)
     calendar = _calendar(args)
-    invocation = _invocation(args)
-    out = _out_dir(args)
     mean_normalized = not args.paper_literal_rmspe
 
     if args.rv_as_vols:
+        chains = {}
         columns = ["rmspe_oracle"]
         scaled = {}
     else:
         chains = _fit_both(args, returns)
         for model in _MODELS:
-            _export_chain(chains[model], out, invocation)
             _print_fit(chains[model])
             print()
         columns = [f"rmspe_{m.replace('-', '_')}" for m in _MODELS]
@@ -435,6 +432,10 @@ def cmd_rmspe(args):
             ]
         rows.append([adjusted.delta_seconds, adjusted.hl_factor] + errors)
 
+    invocation = _invocation(args)
+    out = _out_dir(args)
+    for chain in chains.values():
+        _export_chain(chain, out, invocation)
     rmspe_path = out / "rmspe.csv"
     header = ["delta_seconds", "hl_factor"] + columns
     write_csv(rmspe_path, header, list(zip(*rows)), _comment_lines(invocation))

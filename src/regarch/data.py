@@ -69,14 +69,17 @@ _US_PER_SECOND = 1_000_000
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _open_text(source):
-    """Return (text-file-like, should_close) for a path or open stream."""
+@contextmanager
+def _text_source(source):
+    """A text stream reading ``source``: a path (opened here), a text
+    stream, or a binary stream (wrapped)."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", newline="", encoding="utf-8"), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary stream: wrap
-    return io.TextIOWrapper(source, encoding="utf-8"), False
+        with open(source, "r", newline="", encoding="utf-8") as stream:
+            yield stream
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        yield io.TextIOWrapper(source, encoding="utf-8")
 
 
 def _numbered(reader, lines_before):
@@ -137,14 +140,10 @@ def _rows(source, expected_header):
 
     Skips leading ``#`` comment lines and blank lines anywhere.
     """
-    stream, should_close = _open_text(source)
-    try:
+    with _text_source(source) as stream:
         reader = csv.reader(stream)
         _header(reader, expected_header)
         yield from _body_rows(reader, expected_header, 0)
-    finally:
-        if should_close:
-            stream.close()
 
 
 @dataclass
@@ -264,14 +263,11 @@ class SessionCalendar:
         if isinstance(source, dict):
             doc = source
         else:
-            stream, should_close = _open_text(source)
-            try:
-                doc = json.load(stream)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid calendar JSON: {exc}") from exc
-            finally:
-                if should_close:
-                    stream.close()
+            with _text_source(source) as stream:
+                try:
+                    doc = json.load(stream)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid calendar JSON: {exc}") from exc
         try:
             weekday_sessions = {}
             for key, sessions in doc.get("weekday_sessions", {}).items():
@@ -599,8 +595,7 @@ def load_ticks(source):
     row parser is parsed row by row instead, with the same errors and line
     numbers.
     """
-    stream, should_close = _open_text(source)
-    try:
+    with _text_source(source) as stream:
         lines_read = _header(csv.reader(stream), _TICK_HEADER)
         times, prices = [], []
         while lines := stream.readlines(_PARSE_CHUNK_CHARS):
@@ -612,9 +607,6 @@ def load_ticks(source):
                 lines_read += len(lines)
             times.append(chunk[0])
             prices.append(chunk[1])
-    finally:
-        if should_close:
-            stream.close()
     times = np.concatenate(times) if times else np.empty(0, dtype="datetime64[us]")
     prices = np.concatenate(prices) if prices else np.empty(0)
     order = np.argsort(times, kind="stable")

@@ -25,6 +25,11 @@ from .exceptions import DomainError, NumericalError
 NORMAL = "normal"
 RATIONAL = "rational"
 
+_GARCH_NAMES = ("omega", "alpha", "beta")
+# each error law's parameters in vector order: the GARCH(1,1) three, then
+# the law's own
+PARAM_NAMES = {NORMAL: _GARCH_NAMES, RATIONAL: _GARCH_NAMES + ("a",)}
+
 
 @dataclass(frozen=True)
 class GarchParams:
@@ -41,7 +46,7 @@ class GarchParams:
     a: float | None = None
 
     def __post_init__(self):
-        if self.law not in (NORMAL, RATIONAL):
+        if self.law not in PARAM_NAMES:
             raise DomainError(f"unknown error law {self.law!r}")
         if self.law == RATIONAL and self.a is None:
             raise DomainError("rational law needs the shape parameter a")
@@ -50,31 +55,25 @@ class GarchParams:
 
     @property
     def names(self):
-        if self.law == RATIONAL:
-            return ("omega", "alpha", "beta", "a")
-        return ("omega", "alpha", "beta")
+        return PARAM_NAMES[self.law]
 
     @property
     def k(self):
         """Number of free parameters."""
-        return 4 if self.law == RATIONAL else 3
+        return len(self.names)
 
     def to_vector(self):
-        vec = [self.omega, self.alpha, self.beta]
-        if self.law == RATIONAL:
-            vec.append(self.a)
-        return np.array(vec, dtype=np.float64)
+        return np.array([getattr(self, name) for name in self.names], dtype=np.float64)
 
     @classmethod
     def from_vector(cls, vec, law=NORMAL):
+        if law not in PARAM_NAMES:
+            raise DomainError(f"unknown error law {law!r}")
+        names = PARAM_NAMES[law]
         vec = np.asarray(vec, dtype=np.float64)
-        if law == RATIONAL:
-            if vec.shape != (4,):
-                raise DomainError("rational law takes (omega, alpha, beta, a)")
-            return cls(float(vec[0]), float(vec[1]), float(vec[2]), RATIONAL, float(vec[3]))
-        if vec.shape != (3,):
-            raise DomainError("normal law takes (omega, alpha, beta)")
-        return cls(float(vec[0]), float(vec[1]), float(vec[2]))
+        if vec.shape != (len(names),):
+            raise DomainError(f"{law} law takes ({', '.join(names)})")
+        return cls(law=law, **dict(zip(names, vec.tolist())))
 
     def unconditional_variance(self):
         """omega / (1 - alpha - beta); only defined in the stationary region."""
@@ -94,13 +93,10 @@ class ConstraintReport:
 def check_constraints(params):
     """Positivity is hard; non-stationarity only flips the ``stationary`` flag."""
     violations = []
-    for name in ("omega", "alpha", "beta"):
+    for name in params.names:
         v = getattr(params, name)
         if not math.isfinite(v) or v <= 0.0:
             violations.append(f"{name} must be positive and finite, got {v!r}")
-    if params.law == RATIONAL:
-        if not math.isfinite(params.a) or params.a <= 0.0:
-            violations.append(f"a must be positive and finite, got {params.a!r}")
     stationary = (
         not violations and params.alpha + params.beta < 1.0
     )
@@ -161,13 +157,19 @@ def volatility_recursion(params, returns, init_variance=None):
     _validated(params)
     init = _resolve_init(returns, init_variance)
     values = np.ascontiguousarray(returns.values, dtype=np.float64)
-    out = np.empty(values.shape[0])
-    bad = _kernels.garch_recursion(
-        params.omega, params.alpha, params.beta, values, init, out
+    sig2, bad = _kernels.garch_recursion(
+        params.omega, params.alpha, params.beta, values, init
     )
     if bad >= 0:
         raise NumericalError("variance recursion left (0, inf)", index=int(bad))
-    return VolSeries(returns.dates, out)
+    return VolSeries(returns.dates, sig2)
+
+
+def _scalar_loglik(law, theta, values, init):
+    """The scalar kernel of ``law`` at the parameter list ``theta``:
+    (loglik, bad_index).  The kernel is looked up on each call, so a
+    wrapper installed on the kernel module is the one that runs."""
+    return getattr(_kernels, f"{law}_loglik")(*theta, values, init)
 
 
 def log_likelihood(params, returns, init_variance=None):
@@ -179,14 +181,7 @@ def log_likelihood(params, returns, init_variance=None):
     _validated(params)
     init = _resolve_init(returns, init_variance)
     values = np.ascontiguousarray(returns.values, dtype=np.float64)
-    if params.law == RATIONAL:
-        ll, bad = _kernels.rational_loglik(
-            params.omega, params.alpha, params.beta, params.a, values, init
-        )
-    else:
-        ll, bad = _kernels.normal_loglik(
-            params.omega, params.alpha, params.beta, values, init
-        )
+    ll, bad = _scalar_loglik(params.law, params.to_vector().tolist(), values, init)
     if bad >= 0:
         raise NumericalError("non-finite likelihood term", index=int(bad))
     return float(ll)
@@ -210,15 +205,10 @@ def log_likelihoods(thetas, law, returns, init_variance=None):
     valid = (np.isfinite(thetas) & (thetas > 0.0)).all(axis=1)
     if thetas.shape[0] == 1:
         if valid[0]:
-            scalar = _kernels.rational_loglik if law == RATIONAL else _kernels.normal_loglik
-            ll, bad = scalar(*thetas[0].tolist(), values, init)
+            ll, bad = _scalar_loglik(law, thetas[0].tolist(), values, init)
             if bad < 0:
                 out[0] = ll
         return out
-    block = (
-        _kernels.rational_loglik_block
-        if law == RATIONAL
-        else _kernels.normal_loglik_block
-    )
+    block = getattr(_kernels, f"{law}_loglik_block")
     out[valid] = block(*np.ascontiguousarray(thetas[valid].T), values, init)
     return out

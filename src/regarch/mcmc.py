@@ -38,7 +38,14 @@ from .exceptions import (
     NumericalError,
     ValidationError,
 )
-from .garch import NORMAL, RATIONAL, GarchParams, log_likelihood, log_likelihoods
+from .garch import (
+    NORMAL,
+    PARAM_NAMES,
+    RATIONAL,
+    GarchParams,
+    log_likelihood,
+    log_likelihoods,
+)
 from .rational import UNIMODAL_MIN_A
 
 logger = logging.getLogger(__name__)
@@ -56,7 +63,12 @@ _TAU_MAX_LAG = 10_000
 # frozen-phase MH steps scored per block
 _FROZEN_BLOCK = 2000
 
-_PARAM_NAMES = ("omega", "alpha", "beta", "a")
+
+def _law(model):
+    """The error law of ``model``; an unknown model is a DomainError."""
+    if model not in _LAW_FOR_MODEL:
+        raise DomainError(f"unknown model {model!r}; expected garch-n or garch-re")
+    return _LAW_FOR_MODEL[model]
 
 
 @dataclass
@@ -71,7 +83,8 @@ class Prior:
     upper: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = sorted((self.lower.keys() | self.upper.keys()) - set(_PARAM_NAMES))
+        known = set().union(*PARAM_NAMES.values())
+        unknown = sorted((self.lower.keys() | self.upper.keys()) - known)
         if unknown:
             raise ValidationError(f"prior bounds name unknown parameters {unknown}")
 
@@ -159,15 +172,6 @@ def adapt_proposal(history, dof):
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 100.0
     raise NumericalError("proposal covariance is not repairable")
-
-
-@dataclass(slots=True)
-class MhState:
-    """A scored point: log target and log-likelihood at ``position``."""
-
-    position: np.ndarray
-    log_target: float
-    log_likelihood: float
 
 
 def mh_step(current, candidate, u):
@@ -283,8 +287,8 @@ class ChainConfig:
             raise ValidationError("adapt_interval must be positive")
         if self.burn_in < self.adapt_interval:
             raise ValidationError("burn_in must cover at least one adaptation")
-        if self.nu <= 2.0:
-            raise ValidationError("proposal dof must exceed 2")
+        if not (math.isfinite(self.nu) and self.nu > 2.0):
+            raise ValidationError("proposal dof must be finite and exceed 2")
 
     def public_dict(self):
         d = {
@@ -430,16 +434,14 @@ class _LogTarget:
     """
 
     def __init__(self, model, returns, prior, init_variance):
-        if model not in _LAW_FOR_MODEL:
-            raise DomainError(f"unknown model {model!r}; expected garch-n or garch-re")
+        self.law = _law(model)
         if len(returns) < 30:
             raise InsufficientDataError(
                 f"{len(returns)} returns are too few to estimate a volatility model"
             )
         self.model = model
         self.returns = returns
-        self.law = _LAW_FOR_MODEL[model]
-        self.names = _PARAM_NAMES if self.law == RATIONAL else _PARAM_NAMES[:3]
+        self.names = PARAM_NAMES[self.law]
         self.prior = prior
         if init_variance is None:
             init_variance = returns.sample_variance()
@@ -575,7 +577,8 @@ def _nelder_mead(func, x0, maxiter, xatol, fatol):
 
 
 def _start(target, nu):
-    """Start state and the Laplace-scaled proposal centred there.
+    """Start state (position, log target, log-likelihood) and the
+    Laplace-scaled proposal centred there.
 
     The start is the log-target mode found by Nelder-Mead from the
     moment-informed start point, scored once.  It draws no random numbers,
@@ -592,7 +595,7 @@ def _start(target, nu):
     x_start = np.asarray(x_start, dtype=np.float64)
     lt, ll = (float(s[0]) for s in target.score(x_start[None]))
     proposal = StudentTProposal(x_start, _laplace_scale(target, x_start, lt, nu), nu)
-    return MhState(x_start, lt, ll), proposal
+    return (x_start, lt, ll), proposal
 
 
 def _chain(target, state, proposal, config):
@@ -610,8 +613,7 @@ def _chain(target, state, proposal, config):
     positions = np.empty((steps + 1, len(target.names)))
     log_targets = np.empty(steps + 1)
     log_liks = np.empty(steps + 1)
-    positions[0] = state.position
-    log_targets[0], log_liks[0] = state.log_target, state.log_likelihood
+    positions[0], log_targets[0], log_liks[0] = state
     bounds = [*range(0, burn_in, interval), *range(burn_in, steps, _FROZEN_BLOCK), steps]
     accepts = 0
     for start, stop in zip(bounds, bounds[1:]):
@@ -715,7 +717,7 @@ def run_chains(model, returns, config=None, n_chains=2):
 def check_adapt_interval(model, config):
     """Refuse an adaptation interval too short to refit ``model``'s
     proposal, which needs d + 2 draws of the d parameters."""
-    d = 4 if _LAW_FOR_MODEL[model] == RATIONAL else 3
+    d = len(PARAM_NAMES[_law(model)])
     if config.adapt_interval < d + 2:
         raise ValidationError(f"adapt_interval must be at least {d + 2} for {model}")
 

@@ -1,7 +1,9 @@
 """The variance-recursion and likelihood kernels of :mod:`regarch.garch`.
 
-The scalar kernels run the variance recursion as a plain float loop and the
-likelihood terms as NumPy array operations, summed pairwise by
+Each error law's likelihood terms are written once, as an in-place function
+(``_normal_terms_into``, ``_rational_terms_into``) that the scalar and the
+block kernels share.  The scalar kernels run the variance recursion as a
+plain float loop and the terms over the whole path, summed pairwise by
 ``ndarray.sum``.  :func:`regarch.garch.log_likelihoods` runs the scalar
 kernel for one point and the block kernels for more.
 
@@ -58,55 +60,15 @@ def _first_bad(values):
     return -1
 
 
-def garch_recursion(omega, alpha, beta, returns, init_variance, out):
-    """Fill ``out`` with conditional variances; return the first bad index or -1."""
+def garch_recursion(omega, alpha, beta, returns, init_variance):
+    """Conditional variances and the first index outside (0, inf), or -1."""
     sig2 = _variance_path(omega, alpha, beta, returns, init_variance)
-    bad = _first_bad(sig2)
-    if bad >= 0:
-        out[:bad] = sig2[:bad]
-        return bad
-    out[:] = sig2
-    return -1
-
-
-def _normal_terms(s, y2):
-    return -0.5 * (_LN_2PI + np.log(s) + y2 / s)
-
-
-def _rational_terms(s, y2, a):
-    x2 = y2 / s
-    den = (x2 - 1.0) ** 2 + (a * a) * x2
-    return (np.log(a) - _LN_PI) - np.log(den) - 0.5 * np.log(s)
-
-
-def _finish(sig2, terms_of):
-    """Report the first bad event in time order: term or variance."""
-    bad_var = _first_bad(sig2)
-    n = sig2.shape[0] if bad_var < 0 else bad_var
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms = terms_of(sig2[:n], n)
-    finite = np.isfinite(terms)
-    if not finite.all():
-        return 0.0, int(np.argmax(~finite))
-    if bad_var >= 0:
-        return 0.0, bad_var
-    return float(terms.sum()), -1
-
-
-def normal_loglik(omega, alpha, beta, returns, init_variance):
-    """Gaussian log-likelihood; returns (loglik, bad_index)."""
-    sig2 = _variance_path(omega, alpha, beta, returns, init_variance)
-    return _finish(sig2, lambda s, n: _normal_terms(s, returns[:n] ** 2))
-
-
-def rational_loglik(omega, alpha, beta, a, returns, init_variance):
-    """Rational-error log-likelihood; returns (loglik, bad_index)."""
-    sig2 = _variance_path(omega, alpha, beta, returns, init_variance)
-    return _finish(sig2, lambda s, n: _rational_terms(s, returns[:n] ** 2, a))
+    return sig2, _first_bad(sig2)
 
 
 def _normal_terms_into(s, y2, bufs):
-    """``_normal_terms(s, y2)``, overwriting ``s``."""
+    """Gaussian terms -0.5 * (ln 2 pi + ln s + y2 / s), overwriting ``s``
+    and ``bufs[0]``."""
     quotient = np.divide(y2, s, out=bufs[0])
     np.log(s, out=s)
     s += _LN_2PI
@@ -116,7 +78,8 @@ def _normal_terms_into(s, y2, bufs):
 
 
 def _rational_terms_into(s, y2, bufs, a):
-    """``_rational_terms(s, y2, a)``, overwriting ``s`` and ``bufs``."""
+    """Rational terms ln a - ln pi - ln((x2 - 1)^2 + a^2 x2) - 0.5 ln s with
+    x2 = y2 / s, overwriting ``s``, ``bufs[0]`` and ``bufs[1]``."""
     x2 = np.divide(y2, s, out=bufs[0])
     den = np.subtract(x2, 1.0, out=bufs[1])
     np.square(den, out=den)
@@ -128,6 +91,36 @@ def _rational_terms_into(s, y2, bufs, a):
     s *= 0.5
     terms -= s
     return terms
+
+
+def _loglik(params, returns, init_variance, terms_into):
+    """Log-likelihood at one point and the first bad event in time order,
+    term or variance: (loglik, bad_index)."""
+    omega, alpha, beta, *law_params = params
+    sig2 = _variance_path(omega, alpha, beta, returns, init_variance)
+    bad_var = _first_bad(sig2)
+    n = sig2.shape[0] if bad_var < 0 else bad_var
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y2 = returns[:n] ** 2
+        terms = terms_into(sig2[:n], y2, np.empty((2, n)), *law_params)
+    finite = np.isfinite(terms)
+    if not finite.all():
+        return 0.0, int(np.argmax(~finite))
+    if bad_var >= 0:
+        return 0.0, bad_var
+    return float(terms.sum()), -1
+
+
+def normal_loglik(omega, alpha, beta, returns, init_variance):
+    """Gaussian log-likelihood; returns (loglik, bad_index)."""
+    return _loglik((omega, alpha, beta), returns, init_variance, _normal_terms_into)
+
+
+def rational_loglik(omega, alpha, beta, a, returns, init_variance):
+    """Rational-error log-likelihood; returns (loglik, bad_index)."""
+    return _loglik(
+        (omega, alpha, beta, a), returns, init_variance, _rational_terms_into
+    )
 
 
 def _leaf_sum(terms):

@@ -316,8 +316,12 @@ class TestFit:
         [
             (["--adapt-interval", "2"], "adapt_interval must be at least 5"),
             (["--samples", "1"], "samples must be at least 2"),
+            # refused before the start search, which would warn on them
+            (["--nu", "nan"], "proposal dof must be finite and exceed 2"),
+            (["--nu", "inf"], "proposal dof must be finite and exceed 2"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_unusable_chain_lengths_exit_2(self, market, tmp_path, capsys, flags, message):
         args = [
             "fit", "--model", "garch-n", "--data", str(market / "daily.csv"),
@@ -501,6 +505,16 @@ class TestRv:
     def test_missing_ticks(self, capsys):
         assert cli.main(["rv", "--ticks", "/nope/ticks.csv"]) == 2
 
+    def test_failure_leaves_no_out_dir(self, market, tmp_path, capsys):
+        out = tmp_path / "new"
+        args = [
+            "rv", "--ticks", str(market / "ticks.csv"),
+            "--delta-list", "1e-9", "--out-dir", str(out),
+        ]
+        assert cli.main(args) == 2
+        assert "below timestamp resolution" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRmspe:
     def test_rv_as_vols_oracle_is_zero(self, market, tmp_path):
@@ -550,6 +564,17 @@ class TestRmspe:
         comments, _, rows = _read_csv(out / "rmspe.csv")
         assert "# paper-literal-rmspe = True" in comments
         assert (_column(rows, 2) == 0.0).all()
+
+    def test_failure_leaves_no_out_dir(self, market, tmp_path, capsys):
+        out = tmp_path / "new"
+        args = [
+            "rmspe", "--data", str(market / "daily.csv"),
+            "--ticks", str(market / "ticks.csv"),
+            "--delta-list", "900", "--out-dir", str(out),
+        ] + _FAST_CHAIN + ["--adapt-interval", "5"]
+        assert cli.main(args) == 2
+        assert "adapt_interval must be at least 6" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestImports:

@@ -80,6 +80,10 @@ class TestParams:
         n = GarchParams(2e-5, 0.2, 0.7)
         assert n.k == 3
         assert GarchParams.from_vector(n.to_vector()) == n
+        with pytest.raises(DomainError, match=r"rational law takes \(omega, alpha, beta, a\)"):
+            GarchParams.from_vector(n.to_vector(), law=RATIONAL)
+        with pytest.raises(DomainError, match="unknown error law 'cauchy'"):
+            GarchParams.from_vector(n.to_vector(), law="cauchy")
 
     def test_unconditional_variance(self):
         p = GarchParams(1e-5, 0.1, 0.8)
@@ -212,8 +216,8 @@ class TestKernels:
     def test_kernel_contract(self):
         kernels = recursions_python
         y = np.array([0.01, -0.02, 0.015])
-        out = np.empty(3)
-        assert kernels.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4, out) == -1
+        sig2, bad = kernels.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4)
+        assert bad == -1 and sig2.shape == y.shape and (sig2 > 0).all()
         ll, bad = kernels.normal_loglik(1e-5, 0.1, 0.8, y, 1e-4)
         assert bad == -1 and math.isfinite(ll)
         ll, bad = kernels.rational_loglik(1e-5, 0.1, 0.8, 1.57, y, 1e-4)
@@ -226,11 +230,10 @@ class TestKernels:
         kernels = recursions_python
         y = np.full(40, 0.01)
         y[p] = 1e200
-        out = np.empty(40)
         # the huge return ruins the variance one step after it appears,
         # but ruins its own likelihood term immediately
         ruined = p + 1 if p + 1 < y.size else -1
-        assert kernels.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4, out) == ruined
+        assert kernels.garch_recursion(1e-5, 0.1, 0.8, y, 1e-4)[1] == ruined
         _, bad = kernels.normal_loglik(1e-5, 0.1, 0.8, y, 1e-4)
         assert bad == p
         _, bad = kernels.rational_loglik(1e-5, 0.1, 0.8, 1.57, y, 1e-4)

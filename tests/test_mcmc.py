@@ -31,6 +31,7 @@ from regarch.mcmc import (
     StudentTProposal,
     acf,
     adapt_proposal,
+    check_adapt_interval,
     data_digest,
     format_uncertainty,
     integrated_autocorr_time,
@@ -333,6 +334,8 @@ class TestChainConfig:
             {"adapt_interval": 0},
             {"burn_in": 100, "adapt_interval": 200},
             {"nu": 2.0},
+            {"nu": math.inf},
+            {"nu": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -409,6 +412,8 @@ class TestRunChain:
         _, returns = _synthetic_returns(n=60)
         with pytest.raises(DomainError, match="unknown model"):
             run_chain("garch-x", returns, _SMOKE_CONFIG)
+        with pytest.raises(DomainError, match="unknown model 'garch-x'"):
+            check_adapt_interval("garch-x", _SMOKE_CONFIG)
 
     def test_too_few_returns(self):
         _, returns = _synthetic_returns(n=20)
@@ -490,8 +495,7 @@ def _reference_chain(model, returns, config):
     """
     law = NORMAL if model == MODEL_NORMAL else RATIONAL
     target = _LogTarget(model, returns, config.prior, config.init_variance)
-    start, proposal = _start(target, config.nu)
-    x = start.position
+    (x, _, _), proposal = _start(target, config.nu)
 
     def scores(x):
         return _plain_scores(x, law, returns, config.prior, config.init_variance)
@@ -687,7 +691,7 @@ class TestLaplaceScale:
         law = NORMAL if model == MODEL_NORMAL else RATIONAL
         _, returns = _synthetic_returns(n=400, seed=6)
         target = _LogTarget(model, returns, Prior(), None)
-        x = _start(target, 10.0)[0].position
+        (x, _, _), _ = _start(target, 10.0)
 
         def plain(x):
             return _plain_scores(x, law, returns, Prior(), None)[0]

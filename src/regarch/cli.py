@@ -46,12 +46,13 @@ from .exceptions import (
     ParseError,
     ValidationError,
 )
-from .garch import NORMAL, RATIONAL, GarchParams, VolSeries, volatility_recursion
+from .garch import PARAM_NAMES, GarchParams, VolSeries, volatility_recursion
 from .mcmc import (
     MODEL_NORMAL,
     MODEL_RATIONAL,
     ChainConfig,
     check_adapt_interval,
+    model_law,
     run_chain,
 )
 from .realized import (
@@ -105,6 +106,20 @@ def _add_chain_flags(sub):
     )
 
 
+def _add_tick_flags(sub):
+    sub.add_argument("--ticks", required=True, help="tick CSV (timestamp,price)")
+    sub.add_argument("--calendar", help="session calendar JSON (default: Tokyo)")
+
+
+def _add_delta_list(sub):
+    sub.add_argument(
+        "--delta-list",
+        type=_delta_list,
+        default=_delta_list(_DEFAULT_DELTAS),
+        help=f"comma-separated sampling periods in seconds (default {_DEFAULT_DELTAS})",
+    )
+
+
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sub.add_argument("--out-dir", default=".", help="directory for artifacts")
@@ -138,18 +153,12 @@ def build_parser():
     comp.set_defaults(func=cmd_compare)
 
     rv = commands.add_parser("rv", help="realized variance and signature curve")
-    rv.add_argument("--ticks", required=True, help="tick CSV (timestamp,price)")
-    rv.add_argument("--calendar", help="session calendar JSON (default: Tokyo)")
+    _add_tick_flags(rv)
     rv.add_argument(
         "--data",
         help="daily close CSV for HL factors (default: last tick of each day)",
     )
-    rv.add_argument(
-        "--delta-list",
-        type=_delta_list,
-        default=_delta_list(_DEFAULT_DELTAS),
-        help=f"comma-separated sampling periods in seconds (default {_DEFAULT_DELTAS})",
-    )
+    _add_delta_list(rv)
     _add_common(rv)
     rv.set_defaults(func=cmd_rv)
 
@@ -157,14 +166,8 @@ def build_parser():
         "rmspe", help="score fitted model volatilities against c-adjusted RV"
     )
     rm.add_argument("--data", required=True, help="daily close CSV (date,close)")
-    rm.add_argument("--ticks", required=True, help="tick CSV (timestamp,price)")
-    rm.add_argument("--calendar", help="session calendar JSON (default: Tokyo)")
-    rm.add_argument(
-        "--delta-list",
-        type=_delta_list,
-        default=_delta_list(_DEFAULT_DELTAS),
-        help=f"comma-separated sampling periods in seconds (default {_DEFAULT_DELTAS})",
-    )
+    _add_tick_flags(rm)
+    _add_delta_list(rm)
     _add_chain_flags(rm)
     rm.add_argument(
         "--paper-literal-rmspe",
@@ -288,8 +291,7 @@ def _load_returns(path):
 
 
 def cmd_fit(args):
-    returns = _load_returns(args.data)
-    chain = run_chain(args.model, returns, _chain_config(args))
+    chain = _fit(args, _load_returns(args.data), [args.model])[args.model]
     chain_path, summary_path = _export_chain(chain, _out_dir(args), _invocation(args))
 
     _print_fit(chain)
@@ -298,11 +300,13 @@ def cmd_fit(args):
     return 0
 
 
-def _fit_both(args, returns):
+def _fit(args, returns, models):
+    """One chain per model; every model's adaptation interval is checked
+    before the first chain starts."""
     config = _chain_config(args)
-    for model in _MODELS:
+    for model in models:
         check_adapt_interval(model, config)
-    return {model: run_chain(model, returns, config) for model in _MODELS}
+    return {model: run_chain(model, returns, config) for model in models}
 
 
 def _export_chain(chain, out, invocation):
@@ -318,7 +322,7 @@ def _export_chain(chain, out, invocation):
 
 def cmd_compare(args):
     returns = _load_returns(args.data)
-    chains = _fit_both(args, returns)
+    chains = _fit(args, returns, _MODELS)
     aic_form = AIC_LEGACY if args.paper_literal_aic else AIC_STANDARD
     scores = {m: score_chain(chains[m], aic_form=aic_form) for m in _MODELS}
     report = compare(scores[MODEL_NORMAL], scores[MODEL_RATIONAL])
@@ -361,10 +365,6 @@ def cmd_compare(args):
     return 0
 
 
-def _fmt_delta(delta):
-    return f"{delta:g}"
-
-
 def cmd_rv(args):
     ticks = load_ticks(args.ticks)
     calendar = _calendar(args)
@@ -379,7 +379,7 @@ def cmd_rv(args):
     comments = _comment_lines(invocation)
     out = _out_dir(args)
     for rv in series:
-        rv_path = out / f"rv_{_fmt_delta(rv.delta_seconds)}s.csv"
+        rv_path = out / f"rv_{rv.delta_seconds:g}s.csv"
         write_rv_csv(rv, rv_path, comments=comments)
         print(f"wrote {rv_path}")
     signature_path = out / "signature.csv"
@@ -391,7 +391,7 @@ def cmd_rv(args):
 
     print("delta_seconds  avg_rv        hl_factor")
     for delta, v, c in zip(curve.deltas, curve.avg_rv, curve.hl_factors):
-        print(f"{_fmt_delta(delta):>13}  {v:.6e}  {c:.4f}")
+        print(f"{delta:>13g}  {v:.6e}  {c:.4f}")
     print(f"wrote {signature_path}")
     print(f"wrote {hl_path}")
     return 0
@@ -401,35 +401,29 @@ def cmd_rmspe(args):
     returns = _load_returns(args.data)
     ticks = load_ticks(args.ticks)
     calendar = _calendar(args)
-    mean_normalized = not args.paper_literal_rmspe
-
-    if args.rv_as_vols:
-        chains = {}
-        columns = ["rmspe_oracle"]
-        scaled = {}
-    else:
-        chains = _fit_both(args, returns)
-        for model in _MODELS:
-            _print_fit(chains[model])
-            print()
-        columns = [f"rmspe_{m.replace('-', '_')}" for m in _MODELS]
-        scaled = {
-            m: scale_to_daily_variance(
-                volatility_recursion(chains[m].params_at_mean(), returns), returns
-            )
-            for m in _MODELS
-        }
+    chains = {} if args.rv_as_vols else _fit(args, returns, _MODELS)
+    for chain in chains.values():
+        _print_fit(chain)
+        print()
+    # each fit's variances at its posterior mean, rescaled to the daily variance
+    scaled = {
+        f"rmspe_{model.replace('-', '_')}": scale_to_daily_variance(
+            volatility_recursion(chain.params_at_mean(), returns), returns
+        )
+        for model, chain in chains.items()
+    }
+    header = ["delta_seconds", "hl_factor", *(scaled or ["rmspe_oracle"])]
 
     rows = []
     for adjusted in hl_adjusted_rv(ticks, calendar, args.delta_list, returns):
-        if args.rv_as_vols:
-            forecast = VolSeries(adjusted.dates, adjusted.c_adjusted())
-            errors = [rmspe(forecast, adjusted, mean_normalized=mean_normalized)]
-        else:
-            errors = [
-                rmspe(scaled[m], adjusted, mean_normalized=mean_normalized)
-                for m in _MODELS
-            ]
+        # with no fits, each period's c-adjusted RV forecasts itself
+        forecasts = list(scaled.values()) or [
+            VolSeries(adjusted.dates, adjusted.c_adjusted())
+        ]
+        errors = [
+            rmspe(f, adjusted, mean_normalized=not args.paper_literal_rmspe)
+            for f in forecasts
+        ]
         rows.append([adjusted.delta_seconds, adjusted.hl_factor] + errors)
 
     invocation = _invocation(args)
@@ -437,12 +431,11 @@ def cmd_rmspe(args):
     for chain in chains.values():
         _export_chain(chain, out, invocation)
     rmspe_path = out / "rmspe.csv"
-    header = ["delta_seconds", "hl_factor"] + columns
     write_csv(rmspe_path, header, list(zip(*rows)), _comment_lines(invocation))
 
     print("  ".join(header))
     for delta, c, *errors in rows:
-        cells = [f"{_fmt_delta(delta):>13}", f"{c:9.4f}"]
+        cells = [f"{delta:>13g}", f"{c:9.4f}"]
         cells += [f"{e:.6f}" for e in errors]
         print("  ".join(cells))
     print(f"wrote {rmspe_path}")
@@ -455,9 +448,9 @@ def cmd_simulate(args):
         garch = None
         day_variances = args.day_variance
     else:
-        law = RATIONAL if args.model == MODEL_RATIONAL else NORMAL
-        a = args.a if law == RATIONAL else None
-        garch = GarchParams(args.omega, args.alpha, args.beta, law=law, a=a)
+        law = model_law(args.model)
+        values = [getattr(args, name) for name in PARAM_NAMES[law]]
+        garch = GarchParams.from_vector(values, law)
         day_variances = None
     spec = DiffusionSpec(
         steps_per_day=args.steps_per_day,

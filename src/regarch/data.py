@@ -72,14 +72,18 @@ _BLOCK_ELEMENTS = 1 << 16
 @contextmanager
 def _text_source(source):
     """A text stream reading ``source``: a path (opened here), a text
-    stream, or a binary stream (wrapped)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", newline="", encoding="utf-8") as stream:
-            yield stream
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    else:
-        yield io.TextIOWrapper(source, encoding="utf-8")
+    stream, or a binary stream (wrapped).  Bytes that are not UTF-8 are a
+    :class:`ParseError`."""
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", newline="", encoding="utf-8") as stream:
+                yield stream
+        elif isinstance(source, io.TextIOBase):
+            yield source
+        else:
+            yield io.TextIOWrapper(source, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})") from exc
 
 
 def _numbered(reader, lines_before):

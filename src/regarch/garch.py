@@ -123,9 +123,6 @@ class VolSeries:
     def __len__(self):
         return len(self.dates)
 
-    def volatilities(self):
-        return np.sqrt(self.values)
-
 
 def _resolve_init(returns, init_variance):
     if init_variance is None:

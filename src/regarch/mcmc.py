@@ -64,7 +64,7 @@ _TAU_MAX_LAG = 10_000
 _FROZEN_BLOCK = 2000
 
 
-def _law(model):
+def model_law(model):
     """The error law of ``model``; an unknown model is a DomainError."""
     if model not in _LAW_FOR_MODEL:
         raise DomainError(f"unknown model {model!r}; expected garch-n or garch-re")
@@ -278,7 +278,6 @@ class ChainConfig:
     nu: float = 10.0
     seed: int = 0
     prior: Prior = field(default_factory=Prior)
-    init_variance: float | None = None
 
     def __post_init__(self):
         if self.samples < 2:
@@ -298,8 +297,6 @@ class ChainConfig:
             "nu": self.nu,
             "seed": self.seed,
         }
-        if self.init_variance is not None:
-            d["init_variance"] = self.init_variance
         if self.prior.lower or self.prior.upper:
             d["prior"] = {"lower": self.prior.lower, "upper": self.prior.upper}
         return d
@@ -337,8 +334,7 @@ class PosteriorChain:
         return self.samples.mean(axis=0)
 
     def params_at_mean(self):
-        law = _LAW_FOR_MODEL[self.model]
-        return GarchParams.from_vector(self.mean(), law=law)
+        return GarchParams.from_vector(self.mean(), law=model_law(self.model))
 
     def mean_log_likelihood(self):
         return float(self.log_likelihoods.mean())
@@ -379,12 +375,11 @@ def data_digest(returns):
 
 
 def _start_point(returns, law):
-    """Moment-informed start: modest ARCH, strong persistence."""
+    """Moment-informed start: modest ARCH, strong persistence, and a unimodal
+    rational law; the values of ``law``'s parameters in log coordinates."""
     var = returns.sample_variance()
-    theta = [0.1 * var, 0.1, 0.8]
-    if law == RATIONAL:
-        theta.append(2.0)
-    return np.log(np.array(theta))
+    start = {"omega": 0.1 * var, "alpha": 0.1, "beta": 0.8, "a": 2.0}
+    return np.log(np.array([start[name] for name in PARAM_NAMES[law]]))
 
 
 def _laplace_scale(target, x, f0, nu):
@@ -433,8 +428,8 @@ class _LogTarget:
     while the many-row blocks of MH candidates run on the block kernels.
     """
 
-    def __init__(self, model, returns, prior, init_variance):
-        self.law = _law(model)
+    def __init__(self, model, returns, prior):
+        self.law = model_law(model)
         if len(returns) < 30:
             raise InsufficientDataError(
                 f"{len(returns)} returns are too few to estimate a volatility model"
@@ -443,9 +438,7 @@ class _LogTarget:
         self.returns = returns
         self.names = PARAM_NAMES[self.law]
         self.prior = prior
-        if init_variance is None:
-            init_variance = returns.sample_variance()
-        self.init_variance = init_variance
+        self.init_variance = returns.sample_variance()
 
     def __call__(self, x):
         return float(self.score(x[None])[0][0])
@@ -585,14 +578,13 @@ def _start(target, nu):
     so replicas of a chain share it.
     """
     x0 = _start_point(target.returns, target.law)
-    f0 = target(x0)
-    if f0 == -math.inf:
+    if target(x0) == -math.inf:
         raise DomainError("prior excludes the moment-informed starting point")
-    x_min, f_min, _, _ = _nelder_mead(
+    # the search scores x0 first and never gives up its best vertex, so the
+    # point it returns scores at least as high as x0
+    x_start, _, _, _ = _nelder_mead(
         lambda x: -target(x), x0, maxiter=500 * x0.shape[0], xatol=1e-6, fatol=1e-8
     )
-    x_start = x_min if math.isfinite(f_min) and -f_min >= f0 else x0
-    x_start = np.asarray(x_start, dtype=np.float64)
     lt, ll = (float(s[0]) for s in target.score(x_start[None]))
     proposal = StudentTProposal(x_start, _laplace_scale(target, x_start, lt, nu), nu)
     return (x_start, lt, ll), proposal
@@ -658,7 +650,7 @@ def _chain(target, state, proposal, config):
         summaries.append(ParamSummary(name, float(col.mean()), sd, tau_int))
 
     params_bar = GarchParams.from_vector(theta_bar, law=target.law)
-    lnl_at_mean = log_likelihood(params_bar, target.returns, config.init_variance)
+    lnl_at_mean = log_likelihood(params_bar, target.returns, target.init_variance)
 
     if target.law == RATIONAL:
         a_mean = theta_bar[3]
@@ -717,7 +709,7 @@ def run_chains(model, returns, config=None, n_chains=2):
 def check_adapt_interval(model, config):
     """Refuse an adaptation interval too short to refit ``model``'s
     proposal, which needs d + 2 draws of the d parameters."""
-    d = len(PARAM_NAMES[_law(model)])
+    d = len(PARAM_NAMES[model_law(model)])
     if config.adapt_interval < d + 2:
         raise ValidationError(f"adapt_interval must be at least {d + 2} for {model}")
 
@@ -725,7 +717,7 @@ def check_adapt_interval(model, config):
 def _chains(model, returns, config, seeds):
     """One chain per seed from one start search, which a too short
     adaptation interval never reaches."""
-    target = _LogTarget(model, returns, config.prior, config.init_variance)
+    target = _LogTarget(model, returns, config.prior)
     check_adapt_interval(model, config)
     start = _start(target, config.nu)
     return [_chain(target, *start, replace(config, seed=int(s))) for s in seeds]

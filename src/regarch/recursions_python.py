@@ -7,6 +7,12 @@ plain float loop and the terms over the whole path, summed pairwise by
 ``ndarray.sum``.  :func:`regarch.garch.log_likelihoods` runs the scalar
 kernel for one point and the block kernels for more.
 
+Both kernels use one bad-point rule: the first non-finite term is the first
+bad event.  A variance outside (0, inf) makes its own term non-finite (the
+log of a non-positive or infinite variance, or 0/0), so neither kernel
+checks the variances separately.  The scalar kernel reports the index of that
+term, and a block row with one scores -inf.
+
 The block kernels score many parameter points at once.  The recursion runs
 time-major over all the points of a pass, vectorised across them, one leaf
 of time steps at a time, and each leaf's terms are computed in place on
@@ -94,20 +100,16 @@ def _rational_terms_into(s, y2, bufs, a):
 
 
 def _loglik(params, returns, init_variance, terms_into):
-    """Log-likelihood at one point and the first bad event in time order,
-    term or variance: (loglik, bad_index)."""
+    """Log-likelihood at one point and the index of its first non-finite
+    term, or -1: (loglik, bad_index)."""
     omega, alpha, beta, *law_params = params
     sig2 = _variance_path(omega, alpha, beta, returns, init_variance)
-    bad_var = _first_bad(sig2)
-    n = sig2.shape[0] if bad_var < 0 else bad_var
+    n = sig2.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y2 = returns[:n] ** 2
-        terms = terms_into(sig2[:n], y2, np.empty((2, n)), *law_params)
+        terms = terms_into(sig2, returns**2, np.empty((2, n)), *law_params)
     finite = np.isfinite(terms)
     if not finite.all():
         return 0.0, int(np.argmax(~finite))
-    if bad_var >= 0:
-        return 0.0, bad_var
     return float(terms.sum()), -1
 
 

@@ -86,6 +86,29 @@ class TestParsing:
         code = cli.main(["fit", "--model", "egarch", "--data", "x.csv"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["fit", "--model", "garch-n", "--data", "BAD"],
+             b"date,close\n2006-01-02,2500\xff\n"),
+            (["rv", "--ticks", "BAD"],
+             b"timestamp,price\n2006-01-02T09:00:00,2500\xff\n"),
+            (["rv", "--ticks", "TICKS", "--calendar", "BAD"],
+             b'{"holidays": ["2006-01-0\xff"]}'),
+        ],
+        ids=["fit-data", "rv-ticks", "rv-calendar"],
+    )  # fmt: skip
+    def test_non_utf8_input_exits_2(self, market, tmp_path, capsys, argv, text):
+        # an input error, reported as one: exit 2 and no traceback
+        bad = tmp_path / "bad"
+        bad.write_bytes(text)
+        files = {"BAD": str(bad), "TICKS": str(market / "ticks.csv")}
+        out = tmp_path / "out"
+        args = [files.get(a, a) for a in argv] + ["--out-dir", str(out)]
+        assert cli.main(args) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # For one argv of each subcommand: the recorded configuration, in order, and
 # the CSV comment lines made from it.  The output directory is not recorded.
@@ -575,6 +598,91 @@ class TestRmspe:
         assert cli.main(args) == 2
         assert "adapt_interval must be at least 6" in capsys.readouterr().err
         assert not out.exists()
+
+
+# (arguments, run in the market directory; sha256 of each artifact)
+_MARKET_GOLDEN = {
+    "fit": (
+        ["fit", "--model", "garch-re", "--data", "daily.csv", "--seed", "1",
+         *_FAST_CHAIN],
+        {
+            "chain_garch-re.csv":
+                "1a88bed22f585a8029b1b0985a9b86fec43c52800c6fb8df1c8a946fd042d601",
+            "summary_garch-re.json":
+                "23a8a9036a0785790989f4c2842dc3f74d9abd7e928fcc23b9a8b0fbf86664c7",
+        },
+    ),
+    "compare": (
+        ["compare", "--data", "daily.csv", *_FAST_CHAIN],
+        {
+            "chain_garch-n.csv":
+                "b4384dbb7578b219b68a4a6f2a35410b83d9458de5c6f6517eb44e1288070411",
+            "chain_garch-re.csv":
+                "d9ad024d4fb5524c8d873d2f96c64ea41bc18ad8a85be9bd160a07e42bb1a390",
+            "comparison.json":
+                "e1e0720a1841d96c83bc2784f6a52a0c09275307587bf71d2fb11aaec5066874",
+            "summary_garch-n.json":
+                "337d87e737ad794682a15212623431cc943b40177c490d468450a79b4107118f",
+            "summary_garch-re.json":
+                "e415c3b9aecc857030e0a40eebdeb76d1eb5afe2ff8e6dba2fc29ba236014007",
+        },
+    ),
+    "rv": (
+        ["rv", "--ticks", "ticks.csv", "--data", "daily.csv",
+         "--delta-list", "300,900"],
+        {
+            "hl.csv":
+                "710856d094b7baa91c6d11f2fb0954e4b4022cb3bf49d6edc03852b2fbbd8350",
+            "rv_300s.csv":
+                "c371f220fd91e9f12478cb74149464cbe098b3b3aa3bda60dc9d9feb0b1deed7",
+            "rv_900s.csv":
+                "d86613a82723f117da22ac790b40310201aa71e26f639a5163cd30df6ac86aee",
+            "signature.csv":
+                "a9c72dedb8f4f730dc0c09f1a01ee1ec8ce5854840e0855f474fecf75d57ed38",
+        },
+    ),
+    "rmspe": (
+        ["rmspe", "--data", "daily.csv", "--ticks", "ticks.csv",
+         "--delta-list", "300,900", *_FAST_CHAIN],
+        {
+            "chain_garch-n.csv":
+                "a0b7a1ba7e08373fd51c3c02e1892254a467ffbf129f17e4fd61d9ea1a2417b2",
+            "chain_garch-re.csv":
+                "8643c5c564f111b5a13be6ca2cecb070a9f9658c6c5e5505357677937139ef7b",
+            "rmspe.csv":
+                "6fbd52f157859d1f78fe31552c9e6647fa12fb9e8a6d161a799cb9d243b0ac7b",
+            "summary_garch-n.json":
+                "7a8b6fd8eda852018662fe20451b339ac2be38f9a4c47673f9438eec7b0873c4",
+            "summary_garch-re.json":
+                "c9a2befa5e6df7ac4d654662e490701fde633dcccee577976001a38d5c547096",
+        },
+    ),
+    "rmspe-rv-as-vols": (
+        ["rmspe", "--data", "daily.csv", "--ticks", "ticks.csv",
+         "--delta-list", "300,900", "--rv-as-vols"],
+        {
+            "rmspe.csv":
+                "11ac8893455bb921cfbef5ba2a7f114f35fc7f23a4151191b2570d051b0fc0f4",
+        },
+    ),
+}  # fmt: skip
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("case", sorted(_MARKET_GOLDEN))
+    # the garch-re posterior means of these short chains have alpha + beta >= 1
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_golden_artifacts(self, case, market, tmp_path, monkeypatch):
+        # the same inputs and seed write the same bytes, release after
+        # release; the digests depend on NumPy's exp and log, and were
+        # recorded with NumPy 2.4 on x86-64.  The inputs are named relative
+        # to the market directory, as the invocation records them.
+        argv, digests = _MARKET_GOLDEN[case]
+        monkeypatch.chdir(market)
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestImports:

@@ -392,7 +392,7 @@ class TestBlockKernel:
         rets = _returns(rng.standard_normal(80) * 0.01)
         prior = Prior(upper={"beta": 0.85})
         model = MODEL_NORMAL if law == NORMAL else MODEL_RATIONAL
-        target = _LogTarget(model, rets, prior, None)
+        target = _LogTarget(model, rets, prior)
         base = np.log([1e-5, 0.1, 0.8, 1.6][: len(target.names)])
         rows = [base]
         for j, value in [

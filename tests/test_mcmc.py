@@ -472,7 +472,7 @@ class TestRunChain:
         assert chain.log_posteriors[i] == pytest.approx(expected, rel=1e-9)
 
 
-def _plain_scores(x, law, returns, prior, init_variance):
+def _plain_scores(x, law, returns, prior):
     """Log target and log-likelihood at ``x`` in log coordinates, deliberately
     plain: the log posterior at exp(x) plus the Jacobian sum(x), and the
     scalar log-likelihood; both -inf where the posterior rejects."""
@@ -480,10 +480,10 @@ def _plain_scores(x, law, returns, prior, init_variance):
         # exp overflows far out, and the chain visits alpha + beta >= 1
         warnings.simplefilter("ignore", RuntimeWarning)
         params = GarchParams.from_vector(np.exp(x), law=law)
-        lp = log_posterior(params, returns, prior, init_variance)
+        lp = log_posterior(params, returns, prior)
         if lp == -math.inf:
             return -math.inf, -math.inf
-        return lp + float(x.sum()), log_likelihood(params, returns, init_variance)
+        return lp + float(x.sum()), log_likelihood(params, returns)
 
 
 def _reference_chain(model, returns, config):
@@ -494,11 +494,11 @@ def _reference_chain(model, returns, config):
     the number of candidates the prior box rejected.
     """
     law = NORMAL if model == MODEL_NORMAL else RATIONAL
-    target = _LogTarget(model, returns, config.prior, config.init_variance)
+    target = _LogTarget(model, returns, config.prior)
     (x, _, _), proposal = _start(target, config.nu)
 
     def scores(x):
-        return _plain_scores(x, law, returns, config.prior, config.init_variance)
+        return _plain_scores(x, law, returns, config.prior)
 
     lt, ll = scores(x)
     rng = np.random.default_rng(config.seed)
@@ -650,7 +650,7 @@ class TestNelderMead:
     def test_log_target(self, model):
         law = NORMAL if model == MODEL_NORMAL else RATIONAL
         _, returns = _synthetic_returns(n=300, seed=3)
-        target = _LogTarget(model, returns, Prior(), None)
+        target = _LogTarget(model, returns, Prior())
         x0 = _start_point(returns, law)
         _assert_same_minimize(lambda x: -target(x), x0, 500 * x0.shape[0])
 
@@ -690,11 +690,11 @@ class TestLaplaceScale:
     def test_matches_per_point_reference(self, model):
         law = NORMAL if model == MODEL_NORMAL else RATIONAL
         _, returns = _synthetic_returns(n=400, seed=6)
-        target = _LogTarget(model, returns, Prior(), None)
+        target = _LogTarget(model, returns, Prior())
         (x, _, _), _ = _start(target, 10.0)
 
         def plain(x):
-            return _plain_scores(x, law, returns, Prior(), None)[0]
+            return _plain_scores(x, law, returns, Prior())[0]
 
         for point in (x, x + 0.05, _start_point(returns, law)):
             np.testing.assert_array_equal(
@@ -707,12 +707,12 @@ class TestLaplaceScale:
         x = np.log(np.array([5e-5, 0.1, 0.8]))
         # a box edge 0.05% above alpha puts x + h outside it
         prior = Prior(upper={"alpha": 0.1 * (1.0 + 5e-4)})
-        target = _LogTarget(MODEL_NORMAL, returns, prior, None)
+        target = _LogTarget(MODEL_NORMAL, returns, prior)
         assert target(x + 1e-3 * np.eye(3)[1]) == -math.inf
         scale = _laplace_scale(target, x, target(x), 10.0)
 
         def plain(x):
-            return _plain_scores(x, NORMAL, returns, prior, None)[0]
+            return _plain_scores(x, NORMAL, returns, prior)[0]
 
         np.testing.assert_array_equal(scale, _laplace_scale_per_point(plain, x, 10.0))
         np.testing.assert_array_equal(scale, np.eye(3) * 0.01 * 8.0 / 10.0)

@@ -12,15 +12,23 @@ Every artifact embeds the resolved configuration and seed: CSV files as
 leading ``#`` comment lines, JSON files under an ``invocation`` key.  All
 outputs are deterministic bytes for fixed inputs, flags, and seed.
 
-Exit codes: 0 success, 1 numerical or adaptation failure, 2 usage or input
-error.
+``compare`` and ``rmspe`` fit their two models at once: the second in a
+forked child, whose chain, log records, warnings and errors come back as if
+it had run after the first (see :func:`_fit`).
+
+Exit codes: 0 success, 1 numerical or adaptation failure (or a forked fit
+that ended without a result), 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
+import pickle
 import sys
+import traceback
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -45,6 +53,7 @@ from .exceptions import (
     NumericalError,
     ParseError,
     ValidationError,
+    WorkerError,
 )
 from .garch import PARAM_NAMES, GarchParams, VolSeries, volatility_recursion
 from .mcmc import (
@@ -302,11 +311,150 @@ def cmd_fit(args):
 
 def _fit(args, returns, models):
     """One chain per model; every model's adaptation interval is checked
-    before the first chain starts."""
+    before the first chain starts.
+
+    The first model is fitted in this process while each later one is
+    fitted at the same time in a forked child (:class:`_Worker`).  Every
+    chain is seeded by the config alone, so the chains are those of fitting
+    one model after another, and their log records, warnings and errors
+    arrive in model order.  Where ``os.fork`` does not exist, or
+    ``run_chain`` is not this package's own (a test double, or the span
+    wrappers of ``perfbench/tracer.py``, which record in the process that
+    calls them), every model is fitted here, one after another.
+    """
     config = _chain_config(args)
     for model in models:
         check_adapt_interval(model, config)
-    return {model: run_chain(model, returns, config) for model in models}
+    own = getattr(run_chain, "__module__", None) == f"{__package__}.mcmc"
+    if not (own and hasattr(os, "fork")):
+        return {model: run_chain(model, returns, config) for model in models}
+    first, *rest = models
+    workers = []
+    try:
+        for model in rest:
+            workers.append(_Worker(model, returns, config))
+        chains = {first: run_chain(first, returns, config)}
+        for worker in workers:
+            chains[worker.model] = worker.join()
+        return chains
+    finally:
+        for worker in workers:
+            worker.kill()
+
+
+class _Worker:
+    """``run_chain`` for one model in a forked child.
+
+    The child sends back, pickled through a pipe, its chain or its error
+    together with the log records and warnings it raised, in the order it
+    raised them.  :meth:`join` replays those here, where this process's
+    handlers and warning filters decide what becomes of them.
+    """
+
+    def __init__(self, model, returns, config):
+        self.model = model
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_fd)
+            _worker_main(write_fd, model, returns, config)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def join(self):
+        """Wait for the child; replay its records and warnings, then return
+        its chain or raise its error."""
+        with self.pipe:
+            payload = self.pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code or not payload:
+            raise WorkerError(
+                f"{self.model}: the forked fit ended (exit code {code}) "
+                "without a result"
+            )
+        chain, error, events = pickle.loads(payload)
+        for event in events:
+            _replay(event)
+        if error is not None:
+            raise error
+        return chain
+
+    def kill(self):
+        """Stop and reap the child, unless :meth:`join` has reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            import signal  # only a failed or interrupted fit gets here
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+class _Recorder(logging.Handler):
+    """Keeps each log record, its message formatted, in ``events``."""
+
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def emit(self, record):
+        self.format(record)  # keeps a traceback as text in exc_text
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.events.append(record)
+
+
+def _worker_main(fd, model, returns, config):
+    """The forked child: fit ``model``, write (chain, error, events) pickled
+    to ``fd`` and exit, with no exit handlers run and no inherited buffer
+    flushed."""
+    code = 1
+    try:
+        events = []
+        logging.root.handlers = [_Recorder(events)]
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, category, filename, lineno, *_: (
+            events.append((message, filename, lineno))
+        )
+        chain = error = None
+        try:
+            chain = run_chain(model, returns, config)
+        except Exception as exc:
+            # a traceback does not pickle; its text crosses as a note
+            notes = getattr(exc, "__notes__", [])
+            exc.__notes__ = [*notes, "".join(traceback.format_tb(exc.__traceback__))]
+            error = exc
+        with open(fd, "wb") as pipe:
+            pickle.dump((chain, error, events), pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _replay(event):
+    """Emit a child's log record or warning in this process, as the child
+    would have: a warning under the registry and name of the module it is
+    attributed to, so that filters and "once per location" treat it alike."""
+    if isinstance(event, logging.LogRecord):
+        logging.getLogger(event.name).handle(event)
+        return
+    message, filename, lineno = event
+    namespace = next(
+        (
+            vars(module)
+            for module in list(sys.modules.values())
+            if getattr(module, "__file__", None) == filename
+        ),
+        {},
+    )
+    warnings.warn_explicit(
+        message,
+        type(message),
+        filename,
+        lineno,
+        module=namespace.get("__name__"),
+        registry=namespace.setdefault("__warningregistry__", {}),
+    )
 
 
 def _export_chain(chain, out, invocation):
@@ -499,7 +647,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NumericalError, AdaptationFailureError) as exc:
+    except (NumericalError, AdaptationFailureError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

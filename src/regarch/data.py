@@ -72,7 +72,8 @@ _BLOCK_ELEMENTS = 1 << 16
 @contextmanager
 def _text_source(source):
     """A text stream reading ``source``: a path (opened here), a text
-    stream, or a binary stream (wrapped).  Bytes that are not UTF-8 are a
+    stream, or a binary stream (wrapped, and detached from the wrapper
+    after the read, which leaves it open).  Bytes that are not UTF-8 are a
     :class:`ParseError`."""
     try:
         if isinstance(source, (str, Path)):
@@ -81,7 +82,11 @@ def _text_source(source):
         elif isinstance(source, io.TextIOBase):
             yield source
         else:
-            yield io.TextIOWrapper(source, encoding="utf-8")
+            stream = io.TextIOWrapper(source, encoding="utf-8")
+            try:
+                yield stream
+            finally:
+                stream.detach()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})") from exc
 
@@ -767,15 +772,11 @@ def write_csv(target, header, columns, comments=()):
             stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def json_text(payload):
-    """``payload`` as indented, key-sorted JSON with a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def write_json(target, payload):
-    """Write :func:`json_text` of ``payload`` to a path or a text stream."""
+    """Write ``payload`` as indented, key-sorted JSON with a final newline
+    to a path or a text stream."""
     with _text_target(target) as stream:
-        stream.write(json_text(payload))
+        stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_daily_csv(prices, target, comments=()):

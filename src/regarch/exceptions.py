@@ -49,3 +49,7 @@ class NumericalError(RegarchError):
 
 class AdaptationFailureError(RegarchError):
     """Chain acceptance collapsed; the adapted proposal never found the target."""
+
+
+class WorkerError(RegarchError):
+    """A fit in a forked child ended without sending back its result."""

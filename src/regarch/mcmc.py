@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import write_csv, write_json
+from .data import write_csv
 from .exceptions import (
     AdaptationFailureError,
     DomainError,
@@ -358,9 +358,6 @@ class PosteriorChain:
                 for s in self.summaries
             },
         }
-
-    def export_summary_json(self, target):
-        write_json(target, self.summary_dict())
 
     def export_samples_csv(self, target, comments=()):
         write_csv(target, self.param_names, self.samples.T, comments)

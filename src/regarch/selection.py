@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import json_text
 from .exceptions import DomainError, ValidationError
 
 AIC_STANDARD = "standard"
@@ -100,9 +99,6 @@ class ComparisonReport:
             "dic_preferred": self.dic_preferred,
             "criteria_agree": self.criteria_agree,
         }
-
-    def to_json(self):
-        return json_text(self.as_dict())
 
 
 def compare(first, second):

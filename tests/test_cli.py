@@ -4,8 +4,11 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
+import warnings
 from datetime import date, timedelta
 from unittest import mock
 
@@ -15,6 +18,7 @@ import pytest
 import regarch
 from regarch import cli, mcmc
 from regarch.data import daily_log_returns, load_daily_prices
+from regarch.exceptions import NumericalError, ParseError
 from regarch.garch import RATIONAL, GarchParams
 from regarch.simulate import simulate_garch
 
@@ -294,6 +298,23 @@ class TestSimulate:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+def _ridge_closes(tmp_path):
+    """31 closes on which the garch-re chain runs off along a -> inf, and
+    the garch-n chain does not."""
+    truth = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)
+    returns, _ = simulate_garch(truth, 30, np.random.default_rng(1002))
+    closes = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns.values)]))
+    data = tmp_path / "daily.csv"
+    data.write_text(
+        "date,close\n"
+        + "".join(
+            f"{date(2006, 1, 2) + timedelta(days=i)},{c!r}\n"
+            for i, c in enumerate(closes.tolist())
+        )
+    )
+    return data
+
+
 class TestFit:
     def test_missing_data_file(self, capsys):
         code = cli.main(["fit", "--model", "garch-n", "--data", "/nope/void.csv"])
@@ -355,20 +376,8 @@ class TestFit:
         assert not list(tmp_path.iterdir())
 
     def test_improper_ridge_exits_1(self, tmp_path, capsys):
-        # 31 closes on which the garch-re chain runs off along a -> inf
-        truth = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)
-        returns, _ = simulate_garch(truth, 30, np.random.default_rng(1002))
-        closes = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns.values)]))
-        data = tmp_path / "daily.csv"
-        data.write_text(
-            "date,close\n"
-            + "".join(
-                f"{date(2006, 1, 2) + timedelta(days=i)},{c!r}\n"
-                for i, c in enumerate(closes.tolist())
-            )
-        )
         args = [
-            "fit", "--model", "garch-re", "--data", str(data),
+            "fit", "--model", "garch-re", "--data", str(_ridge_closes(tmp_path)),
             "--burn-in", "1000", "--samples", "3000", "--out-dir", str(tmp_path),
         ]
         assert cli.main(args) == 1
@@ -683,6 +692,166 @@ class TestGoldenArtifacts:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorker:
+    """``compare`` and ``rmspe`` fit garch-re in a forked child while
+    garch-n is fitted here; nothing but the wall time may tell."""
+
+    def _compare(self, market, tmp_path):
+        args = ["compare", "--data", str(market / "daily.csv")]
+        return args + ["--out-dir", str(tmp_path)] + _FAST_CHAIN
+
+    def test_worker_warning_reaches_this_process(self, market, tmp_path):
+        # only the garch-re posterior mean here has alpha + beta >= 1
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with pytest.warns(RuntimeWarning, match="alpha") as caught:
+                assert cli.main(self._compare(market, tmp_path)) == 0
+        assert fork.call_count == 1
+        assert len(caught) == 1
+        assert caught[0].filename == mcmc.__file__
+        _no_child_left()
+
+    @pytest.mark.parametrize("command", ["compare", "rmspe"])
+    def test_stderr_in_model_order(self, market, tmp_path, command):
+        args = [command, "--data", "daily.csv", "--out-dir", str(tmp_path)]
+        if command == "rmspe":
+            args += ["--ticks", "ticks.csv", "--delta-list", "900"]
+        src = os.path.dirname(os.path.dirname(regarch.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "regarch.cli", *args, *_FAST_CHAIN],
+            cwd=market,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        # garch-n's record, then garch-re's warning and record, as when the
+        # two chains ran one after another in one process
+        lines = [
+            line
+            for line in run.stderr.splitlines()
+            if line.startswith(("INFO regarch.mcmc", f"{mcmc.__file__}:"))
+        ]
+        assert len(lines) == 3
+        assert lines[0].startswith("INFO regarch.mcmc: garch-n chain: acceptance")
+        assert lines[1].endswith(
+            "RuntimeWarning: alpha + beta >= 1: variance is not covariance stationary"
+        )
+        assert lines[2].startswith("INFO regarch.mcmc: garch-re chain: acceptance")
+
+    # the garch-n posterior mean here has alpha + beta >= 1
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_worker_error_exits_1(self, tmp_path, capsys):
+        args = [
+            "compare", "--data", str(_ridge_closes(tmp_path)),
+            "--burn-in", "1000", "--samples", "3000",
+            "--out-dir", str(tmp_path / "out"),
+        ]  # fmt: skip
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert cli.main(args) == 1
+        assert fork.call_count == 1
+        err = capsys.readouterr().err
+        assert "error: garch-re: posterior mean or sd is not finite" in err
+        assert "improper ridge" in err
+        assert not (tmp_path / "out").exists()
+        _no_child_left()
+
+    def test_worker_traceback_kept_as_a_note(self, market, tmp_path):
+        # an unexpected error in the worker keeps its frames, as text
+        real_start = mcmc._start
+
+        def start(target, nu):
+            if target.model == "garch-re":
+                raise TypeError("garch-re broke")
+            return real_start(target, nu)
+
+        with mock.patch.object(mcmc, "_start", side_effect=start):
+            with pytest.raises(TypeError, match="garch-re broke") as caught:
+                cli.main(self._compare(market, tmp_path))
+        assert "in _chains" in caught.value.__notes__[-1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("error", [NumericalError, KeyboardInterrupt])
+    def test_first_model_failure_kills_the_worker(
+        self, market, tmp_path, capsys, error
+    ):
+        # both chains fail, garch-re only after a long wait: the garch-n
+        # error is the one reported, and the worker is killed, not awaited
+        def start(target, nu):
+            if target.model == "garch-re":
+                time.sleep(60)
+            raise error(f"{target.model} cannot start")
+
+        began = time.monotonic()
+        with mock.patch.object(mcmc, "_start", side_effect=start):
+            if error is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt, match="garch-n cannot start"):
+                    cli.main(self._compare(market, tmp_path))
+            else:
+                assert cli.main(self._compare(market, tmp_path)) == 1
+                err = capsys.readouterr().err
+                assert "error: garch-n cannot start" in err
+                assert "garch-re" not in err
+        assert time.monotonic() - began < 30
+        _no_child_left()
+
+    def test_worker_without_a_result_is_a_typed_error(self, market, tmp_path, capsys):
+        parent, real_start = os.getpid(), mcmc._start
+
+        def start(target, nu):
+            if target.model == "garch-re":
+                assert os.getpid() != parent, "garch-re was fitted in this process"
+                os._exit(3)
+            return real_start(target, nu)
+
+        with mock.patch.object(mcmc, "_start", side_effect=start):
+            assert cli.main(self._compare(market, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: garch-re: the forked fit ended (exit code 3) without a result"
+        ) in err
+        _no_child_left()
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_same_bytes_without_fork(self, market, tmp_path, monkeypatch):
+        # where os.fork does not exist, both chains run here, one after another
+        argv, digests = _MARKET_GOLDEN["compare"]
+        monkeypatch.chdir(market)
+        monkeypatch.delattr(os, "fork")
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_replayed_warning_is_filtered_as_at_its_origin(self):
+        # a replayed warning counts against the registry of the module it is
+        # attributed to, and module filters match that module's name
+        warning = (RuntimeWarning("replayed once"), mcmc.__file__, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.resetwarnings()
+            warnings.simplefilter("default")
+            cli._replay(warning)
+            cli._replay(warning)
+            warnings.filterwarnings("ignore", module="regarch\\.mcmc")
+            cli._replay((RuntimeWarning("ignored"), mcmc.__file__, 1))
+        assert [str(w.message) for w in caught] == ["replayed once"]
+
+    def test_errors_survive_the_pipe(self):
+        # the worker's exception crosses the pipe pickled
+        for error, attr, value in [
+            (NumericalError("variance not finite", index=4), "index", 4),
+            (ParseError("bad close", line=7), "line", 7),
+        ]:
+            again = pickle.loads(pickle.dumps(error))
+            assert type(again) is type(error)
+            assert str(again) == str(error)
+            assert getattr(again, attr) == value
 
 
 class TestImports:

@@ -139,6 +139,41 @@ class TestTickLoader:
             TickSeries(t, np.array([1.0, 2.0]))
 
 
+class TestBinarySources:
+    # the caller's binary stream is read through a text wrapper, which must
+    # not close it
+    @pytest.mark.parametrize(
+        "load, raw",
+        [
+            (load_daily_prices, b"date,close\n2006-01-02,2500\n2006-01-03,2501\n"),
+            (load_ticks, b"timestamp,price\n2006-06-05T09:00:00,100.0\n"),
+            (
+                SessionCalendar.from_json,
+                b'{"weekday_sessions": {"mon": [["09:00", "15:00"]]}}',
+            ),
+        ],
+        ids=["daily", "ticks", "calendar"],
+    )
+    def test_left_open(self, load, raw):
+        stream = io.BytesIO(raw)
+        load(stream)
+        assert not stream.closed
+
+    @pytest.mark.parametrize(
+        "load, raw",
+        [
+            (load_daily_prices, b"date,close\n2006-01-02,\xff\n"),
+            (load_ticks, b"timestamp,price\nyesterday,1.0\n"),
+        ],
+        ids=["daily-not-utf8", "ticks-bad-row"],
+    )
+    def test_left_open_after_a_parse_error(self, load, raw):
+        stream = io.BytesIO(raw)
+        with pytest.raises(ParseError):
+            load(stream)
+        assert not stream.closed
+
+
 class TestReturns:
     def test_log_returns(self):
         series = DailyPriceSeries(

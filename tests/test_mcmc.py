@@ -13,7 +13,7 @@ from scipy.special import gammaln
 from scipy.stats import multivariate_t
 
 from regarch import mcmc
-from regarch.data import ReturnSeries
+from regarch.data import ReturnSeries, write_json
 from regarch.exceptions import (
     DomainError,
     InsufficientDataError,
@@ -787,7 +787,7 @@ class TestRunChains:
 class TestExports:
     def test_summary_json_round_trip(self, normal_chain):
         buf = io.StringIO()
-        normal_chain.export_summary_json(buf)
+        write_json(buf, normal_chain.summary_dict())
         payload = json.loads(buf.getvalue())
         assert payload["model"] == MODEL_NORMAL
         assert payload["config"]["seed"] == 3
@@ -809,6 +809,6 @@ class TestExports:
 
     def test_exports_deterministic(self, normal_chain):
         a, b = io.StringIO(), io.StringIO()
-        normal_chain.export_summary_json(a)
-        normal_chain.export_summary_json(b)
+        write_json(a, normal_chain.summary_dict())
+        write_json(b, normal_chain.summary_dict())
         assert a.getvalue() == b.getvalue()

@@ -43,6 +43,7 @@ import io
 import itertools
 import json
 import logging
+import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -648,9 +649,12 @@ def _session_grid_us(open_us, close_us, delta_us):
     The grid is open + k*delta for every such instant before the close,
     then the close, so each session is covered to its end.  When delta
     does not divide the session its last interval is shorter; a session
-    shorter than delta gives the one [open, close] return.
+    shorter than delta gives the one [open, close] return.  The step is
+    capped at the session length, which gives that same return and keeps
+    any finite delta within int64.
     """
-    return np.append(np.arange(open_us, close_us, delta_us, dtype=np.int64), close_us)
+    step = min(delta_us, close_us - open_us)
+    return np.append(np.arange(open_us, close_us, step, dtype=np.int64), close_us)
 
 
 def _grid_log_prices(t_int, log_p, midnight_us, offsets):
@@ -717,6 +721,7 @@ def resample_grid(ticks, calendar, delta_seconds):
 
 
 _CSV_CHUNK_ROWS = 1024
+_CSV_FORK_CHUNKS = 8  # write_csv forks for a file of this many full chunks or more
 
 
 @contextmanager
@@ -750,6 +755,19 @@ def _csv_column(values):
     return np.asarray(values, dtype=np.float64), _float_reprs
 
 
+def _csv_rows(columns, lo):
+    """The rows of the chunk starting at row ``lo``, each ending in a newline."""
+    cells = [fmt(values[lo : lo + _CSV_CHUNK_ROWS]) for values, fmt in columns]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _comment_lines(comments):
+    """``# `` before each physical line of each comment, so that a comment
+    holding a line break stays a comment for this module's loaders."""
+    lines = (c.replace("\r\n", "\n").replace("\r", "\n") for c in comments)
+    return "".join(f"# {line}\n" for text in lines for line in text.split("\n"))
+
+
 def write_csv(target, header, columns, comments=()):
     """Emit ``# comment`` lines, a header row, then one row per column entry.
 
@@ -757,19 +775,89 @@ def write_csv(target, header, columns, comments=()):
     per header name: ``datetime64`` arrays are written as ISO timestamps
     to the microsecond, dates as ISO dates, anything else as floats in
     their shortest round-trip ``repr``.  No cell needs quoting, so none is
-    quoted.  Rows are formatted a bounded chunk at a time, so the whole
-    file is never held in memory.
+    quoted.  Each physical line of a comment gets its own ``# ``.  Rows
+    are formatted a bounded chunk at a time, so the whole file is never
+    held in memory.
+
+    A file of ``_CSV_FORK_CHUNKS`` full chunks or more (8192 rows: the
+    tick file of ``simulate``, or the chain files of a long ``compare``) is
+    formatted on two cores: a child forked before the first chunk formats
+    every other chunk with the same function and sends each back through a
+    pipe, and this process writes all of them in file order.  The bytes are those of
+    one process: where ``os.fork`` does not exist, where it fails, or from
+    the chunk at which the child stopped short, this process formats the
+    chunks itself.  No setting controls it.
     """
     columns = [_csv_column(values) for values in columns]
     n = len(columns[0][0]) if columns else 0
     if len(columns) != len(header) or any(len(v) != n for v, _ in columns):
         raise ValidationError("CSV needs one equal-length column per header name")
     with _text_target(target) as stream:
-        stream.write("".join(f"# {line}\n" for line in comments))
+        stream.write(_comment_lines(comments))
         stream.write(",".join(header) + "\n")
-        for lo in range(0, n, _CSV_CHUNK_ROWS):
-            cells = [fmt(values[lo : lo + _CSV_CHUNK_ROWS]) for values, fmt in columns]
-            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        starts = range(0, n, _CSV_CHUNK_ROWS)
+        fork = n >= _CSV_FORK_CHUNKS * _CSV_CHUNK_ROWS and hasattr(os, "fork")
+        child = _ChunkChild(columns, starts[1::2]) if fork else None
+        try:
+            for k, lo in enumerate(starts):
+                text = child.read() if child and k % 2 else None
+                stream.write(_csv_rows(columns, lo) if text is None else text)
+        finally:
+            if child:
+                child.close()
+
+
+class _ChunkChild:
+    """A forked child formatting some chunks of :func:`write_csv`.
+
+    The child sends each chunk's UTF-8 text through a pipe after its length
+    in 8 bytes, in the order given, so about one chunk is in flight.  A
+    short read means the child stopped; every read after it is short too.
+    """
+
+    def __init__(self, columns, starts):
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to spare: every read comes back short
+            self.pid = None
+        if self.pid == 0:
+            os.close(read_fd)
+            _chunk_child_main(write_fd, columns, starts)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def read(self):
+        """The text of the child's next chunk, or None if it stopped short."""
+        head = self.pipe.read(8)
+        size = int.from_bytes(head, "little")
+        body = self.pipe.read(size) if len(head) == 8 else b""
+        return body.decode("utf-8") if body and len(body) == size else None
+
+    def close(self):
+        """Stop and reap the child: once its chunks are read it has nothing
+        left to do, and after an error it may be blocked on a full pipe."""
+        self.pipe.close()
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _chunk_child_main(fd, columns, starts):
+    """The forked child: write the chunks at ``starts`` to ``fd`` and exit,
+    with no exit handlers run and no inherited buffer flushed (the parent's
+    stream may hold the header)."""
+    try:
+        with open(fd, "wb") as pipe:
+            for lo in starts:
+                body = _csv_rows(columns, lo).encode("utf-8")
+                pipe.write(len(body).to_bytes(8, "little"))
+                pipe.write(body)
+                pipe.flush()
+    finally:
+        os._exit(0)
 
 
 def write_json(target, payload):

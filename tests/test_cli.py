@@ -280,6 +280,26 @@ class TestSimulate:
         assert "the GARCH path overflowed" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_tick_writer_child_is_reaped(self, tmp_path):
+        # 120 days of 78 steps write more than 8192 ticks: the tick file is
+        # formatted with a forked child, which is gone when simulate returns
+        args = ["simulate", "--days", "120", "--steps-per-day", "78", "--seed", "9"]
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert cli.main(args + ["--out-dir", str(tmp_path)]) == 0
+        assert fork.call_count == 1
+        with open(tmp_path / "ticks.csv", encoding="utf-8") as ticks:
+            assert sum(1 for line in ticks if line[0].isdigit()) >= 8192
+        _no_child_left()
+
+    def test_path_with_line_break_keeps_daily_csv_loadable(self, tmp_path):
+        # the calendar path is recorded as a comment in every artifact
+        cal_path = tmp_path / "ca\nl.json"
+        sessions = [["09:00", "11:00"], ["12:30", "15:00"]]
+        cal_path.write_text(json.dumps({"weekday_sessions": {"mon": sessions}}))
+        args = ["simulate", "--days", "20", "--calendar", str(cal_path)]
+        assert cli.main(args + ["--out-dir", str(tmp_path / "out")]) == 0
+        assert len(load_daily_prices(tmp_path / "out" / "daily.csv")) == 20
+
     def test_calendar_without_trading_weekday(self, tmp_path, capsys):
         cal_path = tmp_path / "cal.json"
         cal_path.write_text(json.dumps({"weekday_sessions": {}}))
@@ -536,6 +556,21 @@ class TestRv:
 
     def test_missing_ticks(self, capsys):
         assert cli.main(["rv", "--ticks", "/nope/ticks.csv"]) == 2
+
+    def test_period_beyond_int64_exits_0(self, market, tmp_path):
+        # 1e13 s is past int64 in microseconds; like 1e12 s it samples each
+        # session at its open and close
+        out = {}
+        for delta in ("1e12", "1e13"):
+            out[delta] = tmp_path / delta
+            args = [
+                "rv", "--ticks", str(market / "ticks.csv"),
+                "--delta-list", delta, "--out-dir", str(out[delta]),
+            ]  # fmt: skip
+            assert cli.main(args) == 0
+        _, _, a = _read_csv(out["1e12"] / "rv_1e+12s.csv")
+        _, _, b = _read_csv(out["1e13"] / "rv_1e+13s.csv")
+        assert a == b
 
     def test_failure_leaves_no_out_dir(self, market, tmp_path, capsys):
         out = tmp_path / "new"

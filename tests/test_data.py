@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import os
+import time as clock
 import warnings
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from regarch.data import (
     load_ticks,
     resample_grid,
     write_csv,
+    write_daily_csv,
+    write_ticks_csv,
 )
 from regarch.exceptions import (
     DomainError,
@@ -26,6 +31,7 @@ from regarch.exceptions import (
     ParseError,
     ValidationError,
 )
+from regarch.realized import rv_from_ticks
 from reference import grid_sessions
 
 
@@ -371,6 +377,22 @@ class TestResampling:
         with pytest.raises(InsufficientDataError):
             resample_grid(ticks, SessionCalendar.tokyo(), 60.0)
 
+    @pytest.mark.parametrize("delta", [1e13, 1e300])
+    def test_period_beyond_int64_gives_one_return_per_session(self, delta):
+        # a period of a session or more samples only [open, close], as 1e12
+        # s does; in microseconds 1e13 s no longer fits in int64
+        rows = [
+            ("2006-06-05T08:00:00", 100.0),
+            ("2006-06-05T10:00:00", 101.0),
+            ("2006-06-05T14:00:00", 99.0),
+            ("2006-06-06T09:30:00", 102.0),
+            ("2006-06-06T13:00:00", 100.5),
+        ]
+        ticks, cal = _make_ticks(rows), SessionCalendar.tokyo()
+        long, longer = rv_from_ticks(ticks, cal, 1e12), rv_from_ticks(ticks, cal, delta)
+        assert longer.dates == long.dates
+        np.testing.assert_array_equal(longer.values, long.values)
+
 
 class TestIntradayReturns:
     def test_returns_never_span_sessions(self):
@@ -529,6 +551,119 @@ class TestWriteCsv:
             write_csv(io.StringIO(), ("a", "b"), ([1.0, 2.0], [1.0]))
         with pytest.raises(ValidationError):
             write_csv(io.StringIO(), ("a", "b"), ([1.0],))
+
+    def test_comment_line_breaks_stay_comments(self):
+        # every physical line of a comment gets its own "# "
+        buf = io.StringIO()
+        write_csv(buf, ("a",), ([1.0],), comments=("x = a\nb", "y = c\r\nd\re", ""))
+        assert buf.getvalue() == "# x = a\n# b\n# y = c\n# d\n# e\n# \na\n1.0\n"
+
+    def test_daily_comment_with_line_break_round_trips(self, tmp_path):
+        prices = DailyPriceSeries(
+            (date(2006, 1, 4), date(2006, 1, 5)), np.array([100.0, 101.5])
+        )
+        path = tmp_path / "daily.csv"
+        write_daily_csv(prices, path, comments=["data = a\nb", "cal = c\r\nd\re"])
+        again = load_daily_prices(path)
+        assert again.dates == prices.dates
+        np.testing.assert_array_equal(again.closes, prices.closes)
+
+    def test_tick_comment_with_line_break_round_trips(self, tmp_path):
+        ticks = _make_ticks(
+            [("2006-06-05T09:00:00.5", 100.0), ("2006-06-05T09:01:00", 100.25)]
+        )
+        path = tmp_path / "ticks.csv"
+        write_ticks_csv(ticks, path, comments=["data = a\nb", "cal = c\r\nd\re"])
+        again = load_ticks(path)
+        np.testing.assert_array_equal(again.times, ticks.times)
+        np.testing.assert_array_equal(again.prices, ticks.prices)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_FORK_ROWS = data._CSV_FORK_CHUNKS * data._CSV_CHUNK_ROWS
+
+
+class TestForkedCsvWriter:
+    """A file of ``_CSV_FORK_CHUNKS`` chunks or more is formatted on two
+    cores; nothing but the wall time may tell."""
+
+    @pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("chunks", [-1, 0, 1])
+    def test_matches_reference(self, tmp_path, chunks, offset, to_path):
+        rows = (data._CSV_FORK_CHUNKS + chunks) * data._CSV_CHUNK_ROWS + offset
+        columns = _columns(rows)
+        expected = _reference_csv(_HEADER, columns, ("seed = 3",))
+        if to_path:
+            write_csv(tmp_path / "out.csv", _HEADER, columns, comments=("seed = 3",))
+            assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
+        else:
+            buf = io.StringIO()
+            write_csv(buf, _HEADER, columns, comments=("seed = 3",))
+            assert buf.getvalue() == expected
+        _no_child_left()
+
+    @pytest.mark.parametrize("rows, forks", [(_FORK_ROWS - 1, 0), (_FORK_ROWS, 1)])
+    def test_forks_once_from_the_threshold(self, rows, forks):
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            write_csv(io.StringIO(), _HEADER, _columns(rows))
+        assert fork.call_count == forks
+        _no_child_left()
+
+    def test_child_stopping_early_keeps_the_bytes(self):
+        # the child sends its first chunk and exits; this process formats
+        # every chunk from the one the child left unsent
+        columns = _columns(_FORK_ROWS)
+        parent, real_rows, calls = os.getpid(), data._csv_rows, []
+
+        def rows(columns, lo):
+            if os.getpid() != parent and calls:  # the child's own copy of calls
+                os._exit(3)
+            calls.append(lo)
+            return real_rows(columns, lo)
+
+        buf = io.StringIO()
+        with mock.patch.object(data, "_csv_rows", side_effect=rows):
+            write_csv(buf, _HEADER, columns)
+        assert buf.getvalue() == _reference_csv(_HEADER, columns)
+        assert len(calls) == data._CSV_FORK_CHUNKS - 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failing_target_stops_the_child(self, error):
+        class Target(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:  # the first chunk, after comments and header
+                    raise error("disk full")
+                return super().write(text)
+
+        began = clock.monotonic()
+        with pytest.raises(error, match="disk full"):
+            write_csv(Target(), _HEADER, _columns(4 * _FORK_ROWS))
+        assert clock.monotonic() - began < 30
+        _no_child_left()
+
+    def test_same_bytes_without_fork(self, monkeypatch):
+        columns = _columns(_FORK_ROWS + 1)
+        monkeypatch.delattr(os, "fork")
+        buf = io.StringIO()
+        write_csv(buf, _HEADER, columns)
+        assert buf.getvalue() == _reference_csv(_HEADER, columns)
+
+    def test_same_bytes_when_fork_fails(self):
+        columns = _columns(_FORK_ROWS + 1)
+        buf = io.StringIO()
+        with mock.patch.object(os, "fork", side_effect=BlockingIOError(11, "no pid")):
+            write_csv(buf, _HEADER, columns)
+        assert buf.getvalue() == _reference_csv(_HEADER, columns)
+        _no_child_left()
 
 
 def _row_load_ticks(source):

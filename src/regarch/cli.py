@@ -13,8 +13,8 @@ leading ``#`` comment lines, JSON files under an ``invocation`` key.  All
 outputs are deterministic bytes for fixed inputs, flags, and seed.
 
 ``compare`` and ``rmspe`` fit their two models at once: the second in a
-forked child, whose chain, log records, warnings and errors come back as if
-it had run after the first (see :func:`_fit`).
+forked :class:`~regarch.forked.Child`, whose chain, log records, warnings
+and errors come back as if it had run after the first (see :func:`_fit`).
 
 Exit codes: 0 success, 1 numerical or adaptation failure (or a forked fit
 that ended without a result), 2 usage or input error.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import pickle
 import sys
 import traceback
@@ -55,6 +54,7 @@ from .exceptions import (
     ValidationError,
     WorkerError,
 )
+from .forked import Child
 from .garch import PARAM_NAMES, GarchParams, VolSeries, volatility_recursion
 from .mcmc import (
     MODEL_NORMAL,
@@ -313,82 +313,52 @@ def _fit(args, returns, models):
     """One chain per model; every model's adaptation interval is checked
     before the first chain starts.
 
-    The first model is fitted in this process while each later one is
-    fitted at the same time in a forked child (:class:`_Worker`).  Every
-    chain is seeded by the config alone, so the chains are those of fitting
-    one model after another, and their log records, warnings and errors
-    arrive in model order.  Where ``os.fork`` does not exist, or
-    ``run_chain`` is not this package's own (a test double, or the span
-    wrappers of ``perfbench/tracer.py``, which record in the process that
-    calls them), every model is fitted here, one after another.
+    Each model after the first is fitted in a forked :class:`Child` while
+    the first is fitted here.  Every chain is seeded by the config alone,
+    so the chains are those of fitting one model after another, and their
+    log records, warnings and errors arrive in model order.  A model with
+    no child, where ``os.fork`` does not exist or fails, is fitted here in
+    turn; so is every model where ``run_chain`` is not this package's own
+    (a test double, or the span wrappers of ``perfbench/tracer.py``, which
+    record in the process that calls them).
     """
     config = _chain_config(args)
     for model in models:
         check_adapt_interval(model, config)
     own = getattr(run_chain, "__module__", None) == f"{__package__}.mcmc"
-    if not (own and hasattr(os, "fork")):
-        return {model: run_chain(model, returns, config) for model in models}
-    first, *rest = models
-    workers = []
+    children = {}
     try:
-        for model in rest:
-            workers.append(_Worker(model, returns, config))
-        chains = {first: run_chain(first, returns, config)}
-        for worker in workers:
-            chains[worker.model] = worker.join()
+        for model in models[1:] if own else ():
+            children[model] = Child(_worker_main, model, returns, config)
+        chains = {}
+        for model in models:
+            child = children.get(model)
+            if child is None or child.pid is None:
+                chains[model] = run_chain(model, returns, config)
+            else:
+                chains[model] = _received(model, child)
         return chains
     finally:
-        for worker in workers:
-            worker.kill()
+        for child in children.values():
+            child.close()
 
 
-class _Worker:
-    """``run_chain`` for one model in a forked child.
-
-    The child sends back, pickled through a pipe, its chain or its error
-    together with the log records and warnings it raised, in the order it
-    raised them.  :meth:`join` replays those here, where this process's
-    handlers and warning filters decide what becomes of them.
-    """
-
-    def __init__(self, model, returns, config):
-        self.model = model
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(read_fd)
-            _worker_main(write_fd, model, returns, config)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-
-    def join(self):
-        """Wait for the child; replay its records and warnings, then return
-        its chain or raise its error."""
-        with self.pipe:
-            payload = self.pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if code or not payload:
-            raise WorkerError(
-                f"{self.model}: the forked fit ended (exit code {code}) "
-                "without a result"
-            )
-        chain, error, events = pickle.loads(payload)
-        for event in events:
-            _replay(event)
-        if error is not None:
-            raise error
-        return chain
-
-    def kill(self):
-        """Stop and reap the child, unless :meth:`join` has reaped it."""
-        self.pipe.close()
-        if self.pid is not None:
-            import signal  # only a failed or interrupted fit gets here
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+def _received(model, child):
+    """The chain ``child`` sent back for ``model``, after replaying the
+    child's log records and warnings here, where this process's handlers
+    and warning filters decide what becomes of them; or the child's error."""
+    payload = child.receive()
+    if payload is None:
+        raise WorkerError(
+            f"{model}: the forked fit ended (exit code {child.close()}) "
+            "without a result"
+        )
+    chain, error, events = pickle.loads(payload)
+    for event in events:
+        _replay(event)
+    if error is not None:
+        raise error
+    return chain
 
 
 class _Recorder(logging.Handler):
@@ -404,31 +374,25 @@ class _Recorder(logging.Handler):
         self.events.append(record)
 
 
-def _worker_main(fd, model, returns, config):
-    """The forked child: fit ``model``, write (chain, error, events) pickled
-    to ``fd`` and exit, with no exit handlers run and no inherited buffer
-    flushed."""
-    code = 1
+def _worker_main(send, model, returns, config):
+    """The forked child: fit ``model`` and send (chain, error, events),
+    pickled, as one frame, where events are the log records and warnings
+    it raised, in the order it raised them."""
+    events = []
+    logging.root.handlers = [_Recorder(events)]
+    warnings.simplefilter("always")
+    warnings.showwarning = lambda message, category, filename, lineno, *_: (
+        events.append((message, filename, lineno))
+    )
+    chain = error = None
     try:
-        events = []
-        logging.root.handlers = [_Recorder(events)]
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda message, category, filename, lineno, *_: (
-            events.append((message, filename, lineno))
-        )
-        chain = error = None
-        try:
-            chain = run_chain(model, returns, config)
-        except Exception as exc:
-            # a traceback does not pickle; its text crosses as a note
-            notes = getattr(exc, "__notes__", [])
-            exc.__notes__ = [*notes, "".join(traceback.format_tb(exc.__traceback__))]
-            error = exc
-        with open(fd, "wb") as pipe:
-            pickle.dump((chain, error, events), pipe)
-        code = 0
-    finally:
-        os._exit(code)
+        chain = run_chain(model, returns, config)
+    except Exception as exc:
+        # a traceback does not pickle; its text crosses as a note
+        notes = getattr(exc, "__notes__", [])
+        exc.__notes__ = [*notes, "".join(traceback.format_tb(exc.__traceback__))]
+        error = exc
+    send(pickle.dumps((chain, error, events)))
 
 
 def _replay(event):

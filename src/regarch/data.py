@@ -43,7 +43,6 @@ import io
 import itertools
 import json
 import logging
-import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,6 +57,7 @@ from .exceptions import (
     ParseError,
     ValidationError,
 )
+from .forked import Child
 
 logger = logging.getLogger(__name__)
 
@@ -114,11 +114,14 @@ def _numbered(reader, lines_before):
         ) from exc
 
 
-def _header(reader, expected_header):
+def _header(stream, expected_header):
     """Consume leading comment and blank rows and the header row.
 
+    A line starting with ``#`` reaches the CSV reader blank, so that a
+    comment holding ``,"`` opens no quoted field running over the header.
     Returns the number of lines read, which the caller continues from.
     """
+    reader = csv.reader("\n" if line.startswith("#") else line for line in stream)
     for lineno, row in _numbered(reader, 0):
         if not row or row[0].startswith("#"):
             continue
@@ -151,9 +154,8 @@ def _rows(source, expected_header):
     Skips leading ``#`` comment lines and blank lines anywhere.
     """
     with _text_source(source) as stream:
-        reader = csv.reader(stream)
-        _header(reader, expected_header)
-        yield from _body_rows(reader, expected_header, 0)
+        lines_read = _header(stream, expected_header)
+        yield from _body_rows(csv.reader(stream), expected_header, lines_read)
 
 
 @dataclass
@@ -606,7 +608,7 @@ def load_ticks(source):
     numbers.
     """
     with _text_source(source) as stream:
-        lines_read = _header(csv.reader(stream), _TICK_HEADER)
+        lines_read = _header(stream, _TICK_HEADER)
         times, prices = [], []
         while lines := stream.readlines(_PARSE_CHUNK_CHARS):
             chunk = _columnar_ticks(lines)
@@ -781,12 +783,13 @@ def write_csv(target, header, columns, comments=()):
 
     A file of ``_CSV_FORK_CHUNKS`` full chunks or more (8192 rows: the
     tick file of ``simulate``, or the chain files of a long ``compare``) is
-    formatted on two cores: a child forked before the first chunk formats
-    every other chunk with the same function and sends each back through a
-    pipe, and this process writes all of them in file order.  The bytes are those of
-    one process: where ``os.fork`` does not exist, where it fails, or from
-    the chunk at which the child stopped short, this process formats the
-    chunks itself.  No setting controls it.
+    formatted on two cores: a :class:`~regarch.forked.Child` started
+    before the first chunk formats every other chunk with the same function
+    and sends each back as one frame, and this process writes all of them
+    in file order.  The bytes are those of one process: where there is no
+    child (``os.fork`` does not exist or fails), or from the chunk at which
+    the child stopped short, this process formats the chunks itself.  No
+    setting controls it.
     """
     columns = [_csv_column(values) for values in columns]
     n = len(columns[0][0]) if columns else 0
@@ -796,68 +799,22 @@ def write_csv(target, header, columns, comments=()):
         stream.write(_comment_lines(comments))
         stream.write(",".join(header) + "\n")
         starts = range(0, n, _CSV_CHUNK_ROWS)
-        fork = n >= _CSV_FORK_CHUNKS * _CSV_CHUNK_ROWS and hasattr(os, "fork")
-        child = _ChunkChild(columns, starts[1::2]) if fork else None
+        fork = n >= _CSV_FORK_CHUNKS * _CSV_CHUNK_ROWS
+        child = Child(_send_chunks, columns, starts[1::2]) if fork else None
         try:
             for k, lo in enumerate(starts):
-                text = child.read() if child and k % 2 else None
-                stream.write(_csv_rows(columns, lo) if text is None else text)
+                body = child.receive() if child and k % 2 else None
+                text = _csv_rows(columns, lo) if body is None else body.decode("utf-8")
+                stream.write(text)
         finally:
             if child:
                 child.close()
 
 
-class _ChunkChild:
-    """A forked child formatting some chunks of :func:`write_csv`.
-
-    The child sends each chunk's UTF-8 text through a pipe after its length
-    in 8 bytes, in the order given, so about one chunk is in flight.  A
-    short read means the child stopped; every read after it is short too.
-    """
-
-    def __init__(self, columns, starts):
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:  # no process to spare: every read comes back short
-            self.pid = None
-        if self.pid == 0:
-            os.close(read_fd)
-            _chunk_child_main(write_fd, columns, starts)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-
-    def read(self):
-        """The text of the child's next chunk, or None if it stopped short."""
-        head = self.pipe.read(8)
-        size = int.from_bytes(head, "little")
-        body = self.pipe.read(size) if len(head) == 8 else b""
-        return body.decode("utf-8") if body and len(body) == size else None
-
-    def close(self):
-        """Stop and reap the child: once its chunks are read it has nothing
-        left to do, and after an error it may be blocked on a full pipe."""
-        self.pipe.close()
-        if self.pid is not None:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-
-
-def _chunk_child_main(fd, columns, starts):
-    """The forked child: write the chunks at ``starts`` to ``fd`` and exit,
-    with no exit handlers run and no inherited buffer flushed (the parent's
-    stream may hold the header)."""
-    try:
-        with open(fd, "wb") as pipe:
-            for lo in starts:
-                body = _csv_rows(columns, lo).encode("utf-8")
-                pipe.write(len(body).to_bytes(8, "little"))
-                pipe.write(body)
-                pipe.flush()
-    finally:
-        os._exit(0)
+def _send_chunks(send, columns, starts):
+    """The forked child of :func:`write_csv`: send the chunks at ``starts``."""
+    for lo in starts:
+        send(_csv_rows(columns, lo).encode("utf-8"))
 
 
 def write_json(target, payload):

@@ -1,0 +1,78 @@
+"""A forked child sending frames of bytes back through a pipe: the only
+code in the package that calls ``os.fork``, ``os.pipe``, ``os._exit`` or
+``os.kill`` (``compare``'s worker and ``write_csv``'s chunk child)."""
+
+import io
+import os
+
+
+class Child:
+    """``main(send, *args)`` run in a forked child; its frames read here.
+
+    ``send(body)`` writes one frame: the length of ``body`` in 8 bytes,
+    then ``body``, then a flush.  The child leaves through ``os._exit``,
+    with code 0 if ``main`` returned and 1 if it raised, so it runs no exit
+    handler and flushes no buffer it inherited (a stream of the parent's
+    may hold text the parent has yet to write).
+
+    Where ``os.fork`` does not exist or raises :class:`OSError` there is no
+    child: ``pid`` is None, no file descriptor stays open, and every
+    :meth:`receive` returns None, so the caller does the work itself.
+    """
+
+    def __init__(self, main, *args):
+        # no child reads as one that stopped before its first frame
+        self.pid, self.pipe, self._stopped = None, io.BytesIO(), False
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except (AttributeError, OSError):  # no os.fork, or no process to spare
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if self.pid == 0:
+            os.close(read_fd)
+            _run(write_fd, main, args)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def receive(self):
+        """The child's next frame, or None when there is no child or it
+        stopped short (every later call returns None too)."""
+        head = self.pipe.read(8)
+        size = int.from_bytes(head, "little")
+        body = self.pipe.read(size) if len(head) == 8 else None
+        if body is not None and len(body) == size:
+            return body
+        self._stopped = True
+        return None
+
+    def close(self):
+        """Close the pipe, kill the child unless :meth:`receive` saw it stop
+        (it may be blocked on a full pipe), reap it and return its exit
+        code; None when there is no child."""
+        self.pipe.close()
+        if self.pid is None:
+            return None
+        if not self._stopped:
+            import signal  # loaded only by a process that kills a child
+
+            os.kill(self.pid, signal.SIGKILL)
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _run(fd, main, args):
+    """The child's whole life: ``main`` with a sender writing to ``fd``."""
+    code = 1
+    try:
+        with open(fd, "wb") as pipe:
+
+            def send(body):
+                pipe.writelines((len(body).to_bytes(8, "little"), body))
+                pipe.flush()
+
+            main(send, *args)
+        code = 0
+    finally:
+        os._exit(code)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,3 +16,9 @@ def normal_chain():
     return run_chain(
         MODEL_NORMAL, returns, ChainConfig(burn_in=1500, samples=5000, seed=3)
     )
+
+
+def _no_child_left():
+    """This process has no child left to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

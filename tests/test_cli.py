@@ -21,6 +21,7 @@ from regarch.data import daily_log_returns, load_daily_prices
 from regarch.exceptions import NumericalError, ParseError
 from regarch.garch import RATIONAL, GarchParams
 from regarch.simulate import simulate_garch
+from conftest import _no_child_left
 
 _SIM_ARGS = [
     "simulate",
@@ -294,6 +295,15 @@ class TestSimulate:
     def test_path_with_line_break_keeps_daily_csv_loadable(self, tmp_path):
         # the calendar path is recorded as a comment in every artifact
         cal_path = tmp_path / "ca\nl.json"
+        sessions = [["09:00", "11:00"], ["12:30", "15:00"]]
+        cal_path.write_text(json.dumps({"weekday_sessions": {"mon": sessions}}))
+        args = ["simulate", "--days", "20", "--calendar", str(cal_path)]
+        assert cli.main(args + ["--out-dir", str(tmp_path / "out")]) == 0
+        assert len(load_daily_prices(tmp_path / "out" / "daily.csv")) == 20
+
+    def test_path_with_quote_keeps_daily_csv_loadable(self, tmp_path):
+        # ',"' in the recorded calendar path opens no quoted field
+        cal_path = tmp_path / 'ca,"l.json'
         sessions = [["09:00", "11:00"], ["12:30", "15:00"]]
         cal_path.write_text(json.dumps({"weekday_sessions": {"mon": sessions}}))
         args = ["simulate", "--days", "20", "--calendar", str(cal_path)]
@@ -729,11 +739,6 @@ class TestGoldenArtifacts:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestForkedWorker:
     """``compare`` and ``rmspe`` fit garch-re in a forked child while
     garch-n is fitted here; nothing but the wall time may tell."""
@@ -863,6 +868,20 @@ class TestForkedWorker:
         assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_same_bytes_when_fork_fails(self, market, tmp_path, monkeypatch):
+        # a failed fork takes the one-process path of a missing os.fork,
+        # and leaves no pipe open
+        argv, digests = _MARKET_GOLDEN["compare"]
+        monkeypatch.chdir(market)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with mock.patch.object(os, "fork", side_effect=BlockingIOError(11, "no pid")):
+            assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        _no_child_left()
 
     def test_replayed_warning_is_filtered_as_at_its_origin(self):
         # a replayed warning counts against the registry of the module it is

@@ -32,6 +32,7 @@ from regarch.exceptions import (
     ValidationError,
 )
 from regarch.realized import rv_from_ticks
+from conftest import _no_child_left
 from reference import grid_sessions
 
 
@@ -76,6 +77,13 @@ class TestDailyLoader:
         with pytest.raises(ParseError) as err:
             load_daily_prices(src)
         assert err.value.line == 4
+
+    def test_comment_opening_a_quote_keeps_line_numbers(self):
+        # ',"' in a comment opens no quoted field running over the header
+        src = _csv('# data = a,"b.csv\n# c\ndate,close\n2006-01-04,1.0\nx,2.0\n')
+        with pytest.raises(ParseError, match="bad date") as err:
+            load_daily_prices(src)
+        assert err.value.line == 5
 
     def test_duplicate_date_rejected(self):
         src = _csv("date,close\n2006-01-04,1.0\n2006-01-04,2.0\n")
@@ -132,6 +140,11 @@ class TestTickLoader:
         with pytest.raises(ParseError) as err:
             load_ticks(src)
         assert err.value.line == 4
+
+    def test_comment_opening_a_quote_keeps_line_numbers(self):
+        src = _csv('# data = a,"b.csv\ntimestamp,price\nyesterday,1.0\n')
+        with pytest.raises(ParseError, match="line 3"):
+            load_ticks(src)
 
     def test_non_positive_price(self):
         with pytest.raises(ValidationError):
@@ -578,10 +591,27 @@ class TestWriteCsv:
         np.testing.assert_array_equal(again.times, ticks.times)
         np.testing.assert_array_equal(again.prices, ticks.prices)
 
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    @pytest.mark.parametrize("kind", ["daily", "ticks"])
+    def test_comment_opening_a_quote_round_trips(self, tmp_path, kind):
+        # a path holding ',"' is recorded as a comment
+        comments = ['data = a,"b.csv', 'cal = "c,",d']
+        path = tmp_path / f"{kind}.csv"
+        if kind == "daily":
+            prices = DailyPriceSeries(
+                (date(2006, 1, 4), date(2006, 1, 5)), np.array([100.0, 101.5])
+            )
+            write_daily_csv(prices, path, comments=comments)
+            again = load_daily_prices(path)
+            assert again.dates == prices.dates
+            np.testing.assert_array_equal(again.closes, prices.closes)
+        else:
+            ticks = _make_ticks(
+                [("2006-06-05T09:00:00.5", 100.0), ("2006-06-05T09:01:00", 100.25)]
+            )
+            write_ticks_csv(ticks, path, comments=comments)
+            again = load_ticks(path)
+            np.testing.assert_array_equal(again.times, ticks.times)
+            np.testing.assert_array_equal(again.prices, ticks.prices)
 
 
 _FORK_ROWS = data._CSV_FORK_CHUNKS * data._CSV_CHUNK_ROWS

@@ -1,0 +1,93 @@
+import ast
+import os
+import signal
+import time
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+import regarch
+from regarch.forked import Child
+from conftest import _no_child_left
+
+
+def _send_all(send, frames):
+    for frame in frames:
+        send(frame)
+
+
+def _raise(send):
+    raise ValueError("the child's main failed")
+
+
+def _exit_3(send):
+    # the pipe closes well before the exit, which close() must wait for
+    os.closerange(3, 1 << 16)
+    time.sleep(0.2)
+    os._exit(3)
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class TestChild:
+    def test_frames_round_trip_in_order(self):
+        # the 1 MiB frame is larger than the pipe's buffer
+        frames = [b"first", b"", bytes(range(256)) * 4096, b"last"]
+        child = Child(_send_all, frames)
+        assert [child.receive() for _ in frames] == frames
+        assert child.receive() is None
+        assert child.close() == 0
+        _no_child_left()
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_no_child_without_a_fork(self, monkeypatch, fork):
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(
+                os, "fork", mock.Mock(side_effect=BlockingIOError(11, "no pid"))
+            )
+        fds = _open_fds()
+        child = Child(_send_all, [b"never sent"])
+        assert child.pid is None
+        assert child.receive() is None
+        assert child.receive() is None
+        assert _open_fds() == fds
+        assert child.close() is None
+        _no_child_left()
+
+    @pytest.mark.parametrize("main, code", [(_raise, 1), (_exit_3, 3)])
+    def test_close_returns_the_exit_code(self, main, code):
+        child = Child(main)
+        assert child.receive() is None
+        assert child.close() == code
+        _no_child_left()
+
+    def test_close_stops_a_child_blocked_on_a_full_pipe(self):
+        began = time.monotonic()
+        child = Child(_send_all, [b"first", bytes(4 << 20)])
+        assert child.receive() == b"first"
+        # killed, or stopped by the broken pipe just before the kill
+        assert child.close() in (-signal.SIGKILL, 1)
+        assert time.monotonic() - began < 30
+        _no_child_left()
+
+
+_PROCESS_CALLS = {"fork", "pipe", "_exit", "kill"}
+
+
+def test_forked_is_the_only_fork_site():
+    # a second copy of the fork plumbing would call these itself
+    callers = set()
+    for path in Path(regarch.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in _PROCESS_CALLS:
+                if isinstance(node.value, ast.Name) and node.value.id == "os":
+                    callers.add(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                if _PROCESS_CALLS & {alias.name for alias in node.names}:
+                    callers.add(path.name)
+    assert callers == {"forked.py"}

@@ -347,13 +347,15 @@ def _received(model, child):
     """The chain ``child`` sent back for ``model``, after replaying the
     child's log records and warnings here, where this process's handlers
     and warning filters decide what becomes of them; or the child's error."""
-    payload = child.receive()
-    if payload is None:
+    frames = iter(child.receive, None)
+    try:
+        # the arrays are built over the writeable frames that follow
+        chain, error, events = pickle.loads(next(frames), buffers=frames)
+    except (StopIteration, pickle.UnpicklingError):
         raise WorkerError(
             f"{model}: the forked fit ended (exit code {child.close()}) "
             "without a result"
-        )
-    chain, error, events = pickle.loads(payload)
+        ) from None
     for event in events:
         _replay(event)
     if error is not None:
@@ -376,8 +378,9 @@ class _Recorder(logging.Handler):
 
 def _worker_main(send, model, returns, config):
     """The forked child: fit ``model`` and send (chain, error, events),
-    pickled, as one frame, where events are the log records and warnings
-    it raised, in the order it raised them."""
+    where events are the log records and warnings it raised, in the order
+    it raised them: one frame of pickle, then each array's memory as a
+    frame of its own, which is sent without being copied."""
     events = []
     logging.root.handlers = [_Recorder(events)]
     warnings.simplefilter("always")
@@ -392,7 +395,11 @@ def _worker_main(send, model, returns, config):
         notes = getattr(exc, "__notes__", [])
         exc.__notes__ = [*notes, "".join(traceback.format_tb(exc.__traceback__))]
         error = exc
-    send(pickle.dumps((chain, error, events)))
+    arrays = []
+    payload = (chain, error, events)
+    send(pickle.dumps(payload, protocol=5, buffer_callback=arrays.append))
+    for array in arrays:
+        send(array.raw())
 
 
 def _replay(event):

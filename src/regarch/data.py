@@ -19,7 +19,9 @@ that the offset is dropped.  The loader converts chunks of about 64 KB of
 lines column by column when every row has the form
 ``YYYY-MM-DD[Thh[:mm[:ss[.f...]]]],price`` in ASCII; any other chunk is
 parsed row by row, so every form above, and every error with its line
-number, is the row parser's.
+number, is the row parser's.  A tick file of 256 KB or more named by path
+is read on two cores, a forked child converting the second half of its
+lines, with the same result and errors (see :func:`load_ticks`).
 
 Calendar JSON::
 
@@ -43,6 +45,8 @@ import io
 import itertools
 import json
 import logging
+import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -119,9 +123,18 @@ def _header(stream, expected_header):
 
     A line starting with ``#`` reaches the CSV reader blank, so that a
     comment holding ``,"`` opens no quoted field running over the header.
-    Returns the number of lines read, which the caller continues from.
+    Returns the number of lines read, which the caller continues from, and
+    their size in UTF-8 bytes.
     """
-    reader = csv.reader("\n" if line.startswith("#") else line for line in stream)
+    size = 0
+
+    def lines():
+        nonlocal size
+        for line in stream:
+            size += len(line.encode("utf-8"))
+            yield "\n" if line.startswith("#") else line
+
+    reader = csv.reader(lines())
     for lineno, row in _numbered(reader, 0):
         if not row or row[0].startswith("#"):
             continue
@@ -131,7 +144,7 @@ def _header(stream, expected_header):
                 f"got {','.join(row)!r}",
                 line=lineno,
             )
-        return reader.line_num
+        return reader.line_num, size
     raise ParseError("empty file, missing header")
 
 
@@ -154,7 +167,7 @@ def _rows(source, expected_header):
     Skips leading ``#`` comment lines and blank lines anywhere.
     """
     with _text_source(source) as stream:
-        lines_read = _header(stream, expected_header)
+        lines_read, _ = _header(stream, expected_header)
         yield from _body_rows(csv.reader(stream), expected_header, lines_read)
 
 
@@ -489,6 +502,9 @@ _TICK_HEADER = ("timestamp", "price")
 # parse holds one chunk's text and cells at a time; on 100k ticks, 256 KB
 # chunks were no faster and raised the command's peak RSS by 2.6 MB.
 _PARSE_CHUNK_CHARS = 1 << 16
+# load_ticks forks for a file whose body is this many chunks or more: the
+# fork and the two frames back cost about 2 ms
+_TICK_FORK_CHUNKS = 4
 
 _DATE_DIGIT_COLUMNS = [0, 1, 2, 3, 5, 6, 8, 9]
 _IS_DIGIT = np.zeros(256, dtype=bool)
@@ -606,23 +622,126 @@ def load_ticks(source):
     chunk holding anything that reading might take differently from the
     row parser is parsed row by row instead, with the same errors and line
     numbers.
+
+    A file named by path whose body is ``_TICK_FORK_CHUNKS`` chunks or more
+    (256 KB) is read on two cores.  A :class:`~regarch.forked.Child` opens
+    the file again by path (through the inherited stream it would move this
+    process's file offset) and converts its lines from the first line break
+    at or after the middle of the body to the end, while this process
+    parses the lines before that break.  This process takes the child's
+    arrays only when its own chunks were all converted column by column and
+    ended exactly at the break, and the child converted every chunk it read
+    column by column; otherwise it parses the rest itself.  So the result,
+    and every error with its line number, is that of one process, as it is
+    where there is no child (``os.fork`` does not exist or fails).  No
+    setting controls it.
     """
     with _text_source(source) as stream:
-        lines_read = _header(stream, _TICK_HEADER)
-        times, prices = [], []
+        lines_read, header_size = _header(stream, _TICK_HEADER)
+        split = _tick_split(source, stream, header_size)
+        child = Child(_send_tick_half, source, split) if split else None
+        try:
+            times, prices, taken = [], [], False
+            if child:
+                lines_read, at_split = _parse_ticks(
+                    stream, lines_read, times, prices, split - header_size
+                )
+                taken = at_split and _take_half(child, times, prices)
+            if not taken:
+                _parse_ticks(stream, lines_read, times, prices)
+            times = np.concatenate(times) if times else np.empty(0, "datetime64[us]")
+            prices = np.concatenate(prices) if prices else np.empty(0)
+            order = np.argsort(times, kind="stable")
+            return TickSeries(times[order], prices[order])
+        finally:
+            if child:  # reaped only now, so that its exit overlaps the sort
+                child.close()
+
+
+def _parse_ticks(stream, lines_read, times, prices, chars=None):
+    """Parse chunks of ``stream`` onto ``times`` and ``prices``, numbering
+    lines on from ``lines_read``: to the end, or, given ``chars``, until
+    that many characters are read or a chunk needs the row parser.
+
+    Returns the number of lines read by then, and whether exactly ``chars``
+    characters were read, every chunk converted column by column.
+    """
+    hint = _PARSE_CHUNK_CHARS
+    while True:
+        if chars is not None:
+            # readlines stops only once its lines exceed the hint
+            hint = max(1, min(_PARSE_CHUNK_CHARS, chars - 1))
+        lines = stream.readlines(hint)
+        if not lines:
+            return lines_read, False
+        chunk = _columnar_ticks(lines)
+        columnar = chunk is not None
+        if columnar:
+            lines_read += len(lines)
+        else:
+            *chunk, read = _row_ticks(lines, stream, lines_read)
+            lines_read += read
+        times.append(chunk[0])
+        prices.append(chunk[1])
+        if chars is not None:
+            chars -= sum(map(len, lines))
+            if chars <= 0 or not columnar:
+                return lines_read, columnar and chars == 0
+
+
+def _tick_split(source, stream, header_size):
+    """The byte offset at which :func:`load_ticks` hands a tick file's lines
+    to a forked child: just after the first line break at or after the
+    middle of the body, which starts ``header_size`` bytes in.
+
+    None for a source that is not a path to a regular file, for a body of
+    fewer than ``_TICK_FORK_CHUNKS`` chunks, and when no line break follows
+    within 64 KB of the middle.
+    """
+    if not isinstance(source, (str, Path)):
+        return None
+    fd = stream.fileno()
+    info = os.fstat(fd)
+    body = info.st_size - header_size
+    if body < _TICK_FORK_CHUNKS * _PARSE_CHUNK_CHARS or not stat.S_ISREG(info.st_mode):
+        return None
+    middle = header_size + body // 2
+    # pread leaves the file offset, which the stream reads on from, alone
+    end = os.pread(fd, 1 << 16, middle).find(b"\n")
+    split = middle + end + 1
+    return split if end >= 0 and split < info.st_size else None
+
+
+def _send_tick_half(send, path, offset):
+    """The forked child of :func:`load_ticks`: convert the lines of ``path``
+    from byte ``offset`` on column by column, then send their times (as
+    int64) and prices as two frames; nothing if a chunk needs the row
+    parser."""
+    times, prices = [], []
+    with open(path, "r", newline="", encoding="utf-8") as stream:
+        stream.seek(offset)
         while lines := stream.readlines(_PARSE_CHUNK_CHARS):
             chunk = _columnar_ticks(lines)
             if chunk is None:
-                *chunk, read = _row_ticks(lines, stream, lines_read)
-                lines_read += read
-            else:
-                lines_read += len(lines)
+                return
             times.append(chunk[0])
             prices.append(chunk[1])
-    times = np.concatenate(times) if times else np.empty(0, dtype="datetime64[us]")
-    prices = np.concatenate(prices) if prices else np.empty(0)
-    order = np.argsort(times, kind="stable")
-    return TickSeries(times[order], prices[order])
+    # the whole half is converted before the first frame: a child sending
+    # as it goes would block on the pipe until this process had parsed its own
+    send(np.concatenate(times).view(np.int64))
+    send(np.concatenate(prices))
+
+
+def _take_half(child, times, prices):
+    """Append the times and prices :func:`_send_tick_half` sent onto
+    ``times`` and ``prices``, as arrays over its frames; whether it sent
+    both."""
+    sent_times, sent_prices = child.receive(), child.receive()
+    if sent_prices is None:
+        return False
+    times.append(np.frombuffer(sent_times, dtype=np.int64).view("datetime64[us]"))
+    prices.append(np.frombuffer(sent_prices))
+    return True
 
 
 def daily_log_returns(prices):

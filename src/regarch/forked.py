@@ -1,6 +1,7 @@
 """A forked child sending frames of bytes back through a pipe: the only
 code in the package that calls ``os.fork``, ``os.pipe``, ``os._exit`` or
-``os.kill`` (``compare``'s worker and ``write_csv``'s chunk child)."""
+``os.kill`` (``compare``'s worker, ``write_csv``'s chunk child and
+``load_ticks``'s reader child)."""
 
 import io
 import os
@@ -9,8 +10,10 @@ import os
 class Child:
     """``main(send, *args)`` run in a forked child; its frames read here.
 
-    ``send(body)`` writes one frame: the length of ``body`` in 8 bytes,
-    then ``body``, then a flush.  The child leaves through ``os._exit``,
+    ``send(body)`` writes one frame: the size of ``body`` (bytes, or any
+    contiguous buffer such as a NumPy array) in 8 bytes, then ``body``,
+    then a flush; :meth:`receive` returns it as a ``bytearray``, so an
+    array made over it is writeable.  The child leaves through ``os._exit``,
     with code 0 if ``main`` returned and 1 if it raised, so it runs no exit
     handler and flushes no buffer it inherited (a stream of the parent's
     may hold text the parent has yet to write).
@@ -40,10 +43,10 @@ class Child:
         """The child's next frame, or None when there is no child or it
         stopped short (every later call returns None too)."""
         head = self.pipe.read(8)
-        size = int.from_bytes(head, "little")
-        body = self.pipe.read(size) if len(head) == 8 else None
-        if body is not None and len(body) == size:
-            return body
+        if len(head) == 8:
+            body = bytearray(int.from_bytes(head, "little"))
+            if self.pipe.readinto(body) == len(body):
+                return body
         self._stopped = True
         return None
 
@@ -69,7 +72,8 @@ def _run(fd, main, args):
         with open(fd, "wb") as pipe:
 
             def send(body):
-                pipe.writelines((len(body).to_bytes(8, "little"), body))
+                size = memoryview(body).nbytes
+                pipe.writelines((size.to_bytes(8, "little"), body))
                 pipe.flush()
 
             main(send, *args)

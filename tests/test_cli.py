@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import regarch
-from regarch import cli, mcmc
+from regarch import cli, data, mcmc
 from regarch.data import daily_log_returns, load_daily_prices
 from regarch.exceptions import NumericalError, ParseError
 from regarch.garch import RATIONAL, GarchParams
@@ -582,6 +582,48 @@ class TestRv:
         _, _, b = _read_csv(out["1e13"] / "rv_1e+13s.csv")
         assert a == b
 
+    def test_tick_reader_child_is_reaped(self, market, tmp_path):
+        # the market's tick file is more than 256 KB: it is read with a
+        # forked child, which is gone when rv returns
+        assert (market / "ticks.csv").stat().st_size >= 4 << 16
+        args = [
+            "rv", "--ticks", str(market / "ticks.csv"),
+            "--delta-list", "900", "--out-dir", str(tmp_path),
+        ]  # fmt: skip
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert cli.main(args) == 0
+        assert fork.call_count == 1
+        _no_child_left()
+
+    def test_reader_child_keeps_stderr(self, market, tmp_path):
+        # a row with a UTC offset late in the file sends the child's half
+        # back to this process, which warns once, as one process does; the
+        # child writes nothing to the stderr it shares
+        lines = (market / "ticks.csv").read_text(encoding="utf-8").splitlines()
+        stamp, price = lines[-100].split(",")
+        lines[-100] = f"{stamp}+00:00,{price}"
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(regarch.__file__))
+        stderr = {}
+        for fork in ("split", "one"):
+            code = "import os, sys\n"
+            if fork == "one":
+                code += "del os.fork\n"
+            code += "from regarch.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+            run = subprocess.run(
+                [sys.executable, "-c", code, "rv", "--ticks", str(ticks),
+                 "--delta-list", "900", "--out-dir", str(tmp_path / fork)],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )  # fmt: skip
+            stderr[fork] = run.stderr
+        assert stderr["split"].count("timezone") == 1
+        assert stderr["split"] == stderr["one"]
+
     def test_failure_leaves_no_out_dir(self, market, tmp_path, capsys):
         out = tmp_path / "new"
         args = [
@@ -737,6 +779,35 @@ class TestGoldenArtifacts:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case, forks", [("rv", 1), ("rmspe", 2)])
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_split_tick_reader_keeps_the_digests(
+        self, case, forks, market, tmp_path, monkeypatch
+    ):
+        # the tick file is read on two cores, the child's half taken (rmspe
+        # also forks its garch-re fit); where os.fork does not exist it is
+        # read in this process; the bytes are the same
+        argv, digests = _MARKET_GOLDEN[case]
+        monkeypatch.chdir(market)
+        real_take, taken = data._take_half, []
+
+        def take_half(child, times, prices):
+            taken.append(real_take(child, times, prices))
+            return taken[-1]
+
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with mock.patch.object(data, "_take_half", side_effect=take_half):
+                assert cli.main([*argv, "--out-dir", str(tmp_path / "split")]) == 0
+        assert fork.call_count == forks
+        assert taken == [True]
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "one")]) == 0
+        for out in ("split", "one"):
+            for name, digest in digests.items():
+                text = (tmp_path / out / name).read_bytes()
+                assert hashlib.sha256(text).hexdigest() == digest
 
 
 class TestForkedWorker:
@@ -906,6 +977,50 @@ class TestForkedWorker:
             assert type(again) is type(error)
             assert str(again) == str(error)
             assert getattr(again, attr) == value
+
+    def test_chain_arrays_arrive_writeable(self, market, tmp_path):
+        # the chain's arrays cross as frames of their own, and this process
+        # may still write to them, as to a chain fitted here
+        chains, real_export = [], cli._export_chain
+
+        def export(chain, out, invocation):
+            chains.append(chain)
+            return real_export(chain, out, invocation)
+
+        with mock.patch.object(cli, "_export_chain", side_effect=export):
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                with pytest.warns(RuntimeWarning, match="alpha"):
+                    assert cli.main(self._compare(market, tmp_path)) == 0
+        assert fork.call_count == 1
+        assert [chain.model for chain in chains] == ["garch-n", "garch-re"]
+        for chain in chains:
+            for values in (chain.samples, chain.log_posteriors, chain.log_likelihoods):
+                assert values.flags.writeable
+        _no_child_left()
+
+    @pytest.mark.parametrize("arrays_sent", [0, 1])
+    def test_result_cut_short_is_a_typed_error(self, arrays_sent):
+        # a child that stops between the pickle and its two arrays has sent
+        # no result
+        class Frames:
+            def __init__(self, frames):
+                self.frames = iter(frames)
+
+            def receive(self):
+                return next(self.frames, None)
+
+            def close(self):
+                return 3
+
+        arrays = []
+        payload = ((np.arange(3.0), np.ones(2)), None, [])
+        body = pickle.dumps(payload, protocol=5, buffer_callback=arrays.append)
+        frames = [bytearray(array.raw()) for array in arrays]
+        assert len(frames) == 2
+        chain = cli._received("garch-re", Frames([body, *frames]))
+        assert chain[0].tolist() == [0.0, 1.0, 2.0] and chain[1].flags.writeable
+        with pytest.raises(cli.WorkerError, match="exit code 3"):
+            cli._received("garch-re", Frames([body, *frames[:arrays_sent]]))
 
 
 class TestImports:

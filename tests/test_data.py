@@ -915,3 +915,165 @@ class TestTickLoaderMatchesRowParser:
         again = load_ticks(io.StringIO(buf.getvalue()))
         np.testing.assert_array_equal(again.times, ticks.times)
         np.testing.assert_array_equal(again.prices, ticks.prices)
+
+
+class TestSplitTickReader:
+    """A tick file of ``_TICK_FORK_CHUNKS`` chunks or more is read on two
+    cores; nothing but the wall time may tell.  Chunks of 200 characters
+    and a threshold of one chunk split files of a few dozen lines."""
+
+    @pytest.fixture(autouse=True)
+    def small_split(self, monkeypatch):
+        monkeypatch.setattr(data, "_PARSE_CHUNK_CHARS", 200)
+        monkeypatch.setattr(data, "_TICK_FORK_CHUNKS", 1)
+
+    def _check(self, path, monkeypatch):
+        """The outcome of the split reader on ``path``, which must match the
+        one-process reader and the row parser without a warning, and the
+        lines this process converted column by column."""
+        parent, real_columnar, parsed = os.getpid(), data._columnar_ticks, []
+
+        def columnar(lines):
+            if os.getpid() == parent:
+                parsed.extend(lines)
+            return real_columnar(lines)
+
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with mock.patch.object(data, "_columnar_ticks", side_effect=columnar):
+                split = _outcome(load_ticks, lambda: path)
+        assert fork.call_count == 1
+        assert split == _outcome(_row_load_ticks, lambda: path)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert split == _outcome(load_ticks, lambda: path)
+        result, caught = split
+        assert caught == []
+        return result, parsed
+
+    @staticmethod
+    def _write(path, rows, header="timestamp,price\n", ending="\n"):
+        path.write_bytes((header + ending.join(rows) + ending).encode("utf-8"))
+        return path
+
+    def test_good_file_takes_the_childs_half(self, tmp_path, monkeypatch):
+        path = self._write(tmp_path / "ticks.csv", _good_rows(40))
+        (times, _), parsed = self._check(path, monkeypatch)
+        assert len(times) == 40
+        assert 0 < len(parsed) < 40
+        _no_child_left()
+
+    def test_quoted_field_spanning_the_split(self, tmp_path, monkeypatch):
+        # the quoted record is put at every row in turn, so that for some
+        # row the first line break after the middle is the one it quotes
+        spans = []
+        for at in range(30):
+            rows = _good_rows(30)
+            rows.insert(at, _ODD_LINES["quoted_newline"])
+            path = self._write(tmp_path / "ticks.csv", rows)
+            raw = path.read_bytes()
+            header = len("timestamp,price\n")
+            split = raw.index(b"\n", (header + len(raw)) // 2) + 1
+            spans.append(raw[split - 2 : split + 1] == b'5\n"')
+            (times, _), _ = self._check(path, monkeypatch)
+            assert len(times) == 31
+        assert any(spans)
+        _no_child_left()
+
+    def test_comments_and_non_ascii_header(self, tmp_path, monkeypatch):
+        # the split is found in bytes: a header counted in characters would
+        # put this process's end past the split, and the child's half unused
+        header = "# seed = 1\n# a café, «naïve»\n\n# a,b\ntimestamp,price\n"
+        path = self._write(tmp_path / "ticks.csv", _good_rows(40), header)
+        (times, _), parsed = self._check(path, monkeypatch)
+        assert len(times) == 40
+        assert 0 < len(parsed) < 40
+        _no_child_left()
+
+    def test_crlf_and_a_middle_between_cr_and_lf(self, tmp_path, monkeypatch):
+        # a comment one byte longer at a time moves the middle of the body
+        # across every byte of a line
+        between = []
+        for pad in range(45):
+            header = f"# {'x' * pad}\r\ntimestamp,price\r\n"
+            path = self._write(tmp_path / "ticks.csv", _good_rows(40), header, "\r\n")
+            raw = path.read_bytes()
+            middle = (len(header) + len(raw)) // 2
+            between.append(raw[middle - 1 : middle + 1] == b"\r\n")
+            (times, _), parsed = self._check(path, monkeypatch)
+            assert len(times) == 40
+            assert 0 < len(parsed) < 40
+        assert any(between)
+        _no_child_left()
+
+    @pytest.mark.parametrize("name", ["bad_price", "bad_timestamp", "three_fields"])
+    @pytest.mark.parametrize("at", [10, 30, 39])
+    def test_bad_row_on_either_side(self, tmp_path, monkeypatch, name, at):
+        # rows 30 and 39 are in the child's half; the error and its line
+        # number are this process's own
+        rows = _good_rows(40)
+        rows[at] = _ODD_LINES[name]
+        (error, _, line), _ = self._check(
+            self._write(tmp_path / "ticks.csv", rows), monkeypatch
+        )
+        assert error is ParseError
+        assert line == at + 2
+        _no_child_left()
+
+    def test_not_utf8_in_the_childs_half(self, tmp_path, monkeypatch):
+        # long enough that the bad byte is past the stream's first reads
+        path = self._write(tmp_path / "ticks.csv", _good_rows(600))
+        raw = bytearray(path.read_bytes())
+        raw[-30] = 0xFF
+        path.write_bytes(raw)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with pytest.raises(ParseError, match="not UTF-8 text") as split:
+                load_ticks(path)
+        assert fork.call_count == 1
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ParseError) as one:
+            load_ticks(path)
+        assert (str(split.value), split.value.line) == (str(one.value), one.value.line)
+        _no_child_left()
+
+    @pytest.mark.parametrize("frames", [0, 1])
+    def test_child_exiting_early(self, tmp_path, monkeypatch, frames):
+        # the child sends fewer than its two frames and exits; this process
+        # parses the whole body itself
+        def send_and_exit(send, path, offset):
+            for _ in range(frames):
+                send(np.zeros(3, dtype=np.int64))
+            os._exit(3)
+
+        monkeypatch.setattr(data, "_send_tick_half", send_and_exit)
+        path = self._write(tmp_path / "ticks.csv", _good_rows(40))
+        (times, _), parsed = self._check(path, monkeypatch)
+        assert len(times) == len(parsed) == 40
+        _no_child_left()
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_no_child_without_a_fork(self, tmp_path, monkeypatch, fork):
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(
+                os, "fork", mock.Mock(side_effect=BlockingIOError(11, "no pid"))
+            )
+        path = self._write(tmp_path / "ticks.csv", _good_rows(40))
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert _outcome(load_ticks, lambda: path) == _outcome(
+            _row_load_ticks, lambda: path
+        )
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        _no_child_left()
+
+    @pytest.mark.parametrize("chunks, forks", [(3, 0), (2, 1)])
+    def test_forks_from_the_threshold(self, tmp_path, monkeypatch, chunks, forks):
+        # a body of 40 rows of about 40 bytes is 2 to 3 chunks of 800
+        monkeypatch.setattr(data, "_PARSE_CHUNK_CHARS", 800)
+        monkeypatch.setattr(data, "_TICK_FORK_CHUNKS", chunks)
+        path = self._write(tmp_path / "ticks.csv", _good_rows(40))
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            load_ticks(path)
+            load_ticks(io.BytesIO(path.read_bytes()))
+        assert fork.call_count == forks
+        _no_child_left()

@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import regarch
@@ -38,6 +39,20 @@ class TestChild:
         frames = [b"first", b"", bytes(range(256)) * 4096, b"last"]
         child = Child(_send_all, frames)
         assert [child.receive() for _ in frames] == frames
+        assert child.receive() is None
+        assert child.close() == 0
+        _no_child_left()
+
+    def test_array_frames_arrive_writeable(self):
+        # an array is sent from its own memory and read back into memory
+        # that an array made over it may write to
+        values = [np.arange(5), np.linspace(0.0, 1.0, 3)]
+        child = Child(_send_all, values)
+        for sent in values:
+            body = child.receive()
+            received = np.frombuffer(body, dtype=sent.dtype)
+            assert received.tolist() == sent.tolist()
+            assert received.flags.writeable
         assert child.receive() is None
         assert child.close() == 0
         _no_child_left()

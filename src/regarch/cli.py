@@ -12,9 +12,10 @@ Every artifact embeds the resolved configuration and seed: CSV files as
 leading ``#`` comment lines, JSON files under an ``invocation`` key.  All
 outputs are deterministic bytes for fixed inputs, flags, and seed.
 
-``compare`` and ``rmspe`` fit their two models at once: the second in a
-forked :class:`~regarch.forked.Child`, whose chain, log records, warnings
-and errors come back as if it had run after the first (see :func:`_fit`).
+``compare`` and ``rmspe`` fit their two models at once: the second draws
+its chain in a forked :class:`~regarch.forked.Child`, which sends back its
+draws or its error and writes nothing; the command summarises the draws,
+so every log record and warning is its own (see :func:`_fit`).
 
 Exit codes: 0 success, 1 numerical or adaptation failure (or a forked fit
 that ended without a result), 2 usage or input error.
@@ -27,7 +28,6 @@ import logging
 import pickle
 import sys
 import traceback
-import warnings
 from datetime import date
 from pathlib import Path
 
@@ -61,8 +61,10 @@ from .mcmc import (
     MODEL_RATIONAL,
     ChainConfig,
     check_adapt_interval,
+    draw_chain,
     model_law,
     run_chain,
+    summarize,
 )
 from .realized import (
     NoiseModel,
@@ -75,8 +77,6 @@ from .realized import (
 )
 from .selection import AIC_LEGACY, AIC_STANDARD, compare, score_chain
 from .simulate import DiffusionSpec, simulate_intraday
-
-logger = logging.getLogger(__name__)
 
 _MODELS = (MODEL_NORMAL, MODEL_RATIONAL)
 _DEFAULT_DELTAS = "30,60,300,900,1800,3600"
@@ -242,13 +242,20 @@ def _invocation(args):
     return out
 
 
+def _period(delta):
+    """A sampling period as text: ``:g`` where that reads back as the same
+    float, else ``repr``, so that two periods never share a name."""
+    text = f"{delta:g}"
+    return text if float(text) == delta else repr(float(delta))
+
+
 def _comment_lines(invocation):
     lines = [f"regarch {invocation['command']}"]
     for key, value in invocation.items():
         if key == "command":
             continue
         if isinstance(value, list):
-            value = ",".join(f"{v:g}" for v in value)
+            value = ",".join(map(_period, value))
         lines.append(f"{key.replace('_', '-')} = {value}")
     return lines
 
@@ -313,14 +320,15 @@ def _fit(args, returns, models):
     """One chain per model; every model's adaptation interval is checked
     before the first chain starts.
 
-    Each model after the first is fitted in a forked :class:`Child` while
-    the first is fitted here.  Every chain is seeded by the config alone,
-    so the chains are those of fitting one model after another, and their
-    log records, warnings and errors arrive in model order.  A model with
-    no child, where ``os.fork`` does not exist or fails, is fitted here in
-    turn; so is every model where ``run_chain`` is not this package's own
-    (a test double, or the span wrappers of ``perfbench/tracer.py``, which
-    record in the process that calls them).
+    Each model after the first draws its chain in a forked :class:`Child`
+    while the first is fitted here, and is summarised here once the first
+    is done.  Every chain is seeded by the config alone, so the chains are
+    those of fitting one model after another, and their log records,
+    warnings and errors, all raised in this process, come in model order.
+    A model with no child, where ``os.fork`` does not exist or fails, is
+    fitted here in turn; so is every model where ``run_chain`` is not this
+    package's own (a test double, or the span wrappers of
+    ``perfbench/tracer.py``, which record in the process that calls them).
     """
     config = _chain_config(args)
     for model in models:
@@ -336,7 +344,7 @@ def _fit(args, returns, models):
             if child is None or child.pid is None:
                 chains[model] = run_chain(model, returns, config)
             else:
-                chains[model] = _received(model, child)
+                chains[model] = summarize(_received(model, child), returns)
         return chains
     finally:
         for child in children.values():
@@ -344,88 +352,38 @@ def _fit(args, returns, models):
 
 
 def _received(model, child):
-    """The chain ``child`` sent back for ``model``, after replaying the
-    child's log records and warnings here, where this process's handlers
-    and warning filters decide what becomes of them; or the child's error."""
+    """The draws ``child`` sent back for ``model``, or the child's error."""
     frames = iter(child.receive, None)
     try:
         # the arrays are built over the writeable frames that follow
-        chain, error, events = pickle.loads(next(frames), buffers=frames)
+        draws, error = pickle.loads(next(frames), buffers=frames)
     except (StopIteration, pickle.UnpicklingError):
         raise WorkerError(
             f"{model}: the forked fit ended (exit code {child.close()}) "
             "without a result"
         ) from None
-    for event in events:
-        _replay(event)
     if error is not None:
         raise error
-    return chain
-
-
-class _Recorder(logging.Handler):
-    """Keeps each log record, its message formatted, in ``events``."""
-
-    def __init__(self, events):
-        super().__init__()
-        self.events = events
-
-    def emit(self, record):
-        self.format(record)  # keeps a traceback as text in exc_text
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.events.append(record)
+    return draws
 
 
 def _worker_main(send, model, returns, config):
-    """The forked child: fit ``model`` and send (chain, error, events),
-    where events are the log records and warnings it raised, in the order
-    it raised them: one frame of pickle, then each array's memory as a
-    frame of its own, which is sent without being copied."""
-    events = []
-    logging.root.handlers = [_Recorder(events)]
-    warnings.simplefilter("always")
-    warnings.showwarning = lambda message, category, filename, lineno, *_: (
-        events.append((message, filename, lineno))
-    )
-    chain = error = None
+    """The forked child: draw ``model``'s chain, which logs and warns
+    nothing, and send (draws, error): one frame of pickle, then each
+    array's memory as a frame of its own, which is sent without being
+    copied."""
+    draws = error = None
     try:
-        chain = run_chain(model, returns, config)
+        draws = draw_chain(model, returns, config)
     except Exception as exc:
         # a traceback does not pickle; its text crosses as a note
         notes = getattr(exc, "__notes__", [])
         exc.__notes__ = [*notes, "".join(traceback.format_tb(exc.__traceback__))]
         error = exc
     arrays = []
-    payload = (chain, error, events)
-    send(pickle.dumps(payload, protocol=5, buffer_callback=arrays.append))
+    send(pickle.dumps((draws, error), protocol=5, buffer_callback=arrays.append))
     for array in arrays:
         send(array.raw())
-
-
-def _replay(event):
-    """Emit a child's log record or warning in this process, as the child
-    would have: a warning under the registry and name of the module it is
-    attributed to, so that filters and "once per location" treat it alike."""
-    if isinstance(event, logging.LogRecord):
-        logging.getLogger(event.name).handle(event)
-        return
-    message, filename, lineno = event
-    namespace = next(
-        (
-            vars(module)
-            for module in list(sys.modules.values())
-            if getattr(module, "__file__", None) == filename
-        ),
-        {},
-    )
-    warnings.warn_explicit(
-        message,
-        type(message),
-        filename,
-        lineno,
-        module=namespace.get("__name__"),
-        registry=namespace.setdefault("__warningregistry__", {}),
-    )
 
 
 def _export_chain(chain, out, invocation):
@@ -498,7 +456,7 @@ def cmd_rv(args):
     comments = _comment_lines(invocation)
     out = _out_dir(args)
     for rv in series:
-        rv_path = out / f"rv_{rv.delta_seconds:g}s.csv"
+        rv_path = out / f"rv_{_period(rv.delta_seconds)}s.csv"
         write_rv_csv(rv, rv_path, comments=comments)
         print(f"wrote {rv_path}")
     signature_path = out / "signature.csv"
@@ -510,7 +468,7 @@ def cmd_rv(args):
 
     print("delta_seconds  avg_rv        hl_factor")
     for delta, v, c in zip(curve.deltas, curve.avg_rv, curve.hl_factors):
-        print(f"{delta:>13g}  {v:.6e}  {c:.4f}")
+        print(f"{_period(delta):>13}  {v:.6e}  {c:.4f}")
     print(f"wrote {signature_path}")
     print(f"wrote {hl_path}")
     return 0
@@ -554,7 +512,7 @@ def cmd_rmspe(args):
 
     print("  ".join(header))
     for delta, c, *errors in rows:
-        cells = [f"{delta:>13g}", f"{c:9.4f}"]
+        cells = [f"{_period(delta):>13}", f"{c:9.4f}"]
         cells += [f"{e:.6f}" for e in errors]
         print("  ".join(cells))
     print(f"wrote {rmspe_path}")

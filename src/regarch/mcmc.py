@@ -314,6 +314,20 @@ class ParamSummary:
 
 
 @dataclass
+class ChainDraws:
+    """The kept draws of one chain, before any summary: one row per kept
+    step of the positions in log coordinates, their log targets and their
+    log-likelihoods, and the kept steps' acceptance rate."""
+
+    model: str
+    samples_log: np.ndarray
+    log_posteriors: np.ndarray
+    log_likelihoods: np.ndarray
+    acceptance_rate: float
+    config: ChainConfig
+
+
+@dataclass
 class PosteriorChain:
     """Retained MH samples for one model on one return series."""
 
@@ -588,7 +602,7 @@ def _start(target, nu):
 
 
 def _chain(target, state, proposal, config):
-    """One chain from a scored start ``state`` and its proposal.
+    """One chain's kept draws from a scored start ``state`` and its proposal.
 
     The chain arrays, the sampler's only record, hold the start in row 0 and
     the state after step k in row k.  The steps run in blocks: one per
@@ -628,28 +642,40 @@ def _chain(target, state, proposal, config):
             "the proposal never matched the posterior (data too short, "
             "or burn-in too small)"
         )
+    kept = slice(burn_in + 1, None)
+    return ChainDraws(
+        target.model, positions[kept], log_targets[kept], log_liks[kept], acceptance_rate, config
+    )
 
-    samples_log = positions[burn_in + 1 :]
+
+def summarize(draws, returns):
+    """The :class:`PosteriorChain` of ``draws`` on ``returns``, the series
+    they were drawn on: each parameter's mean, sd and tau_int, and lnL at
+    the posterior mean.  The chain's log records and warnings come from
+    here, not from the draws: the INFO line, a window rule left unmet, a
+    bimodal posterior mean and a non-stationary one.  Raises
+    :class:`NumericalError` when the posterior mean or an sd is not finite.
+    """
+    law = model_law(draws.model)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.exp(samples_log)
+        samples = np.exp(draws.samples_log)
         theta_bar = samples.mean(axis=0)
         sds = [float(col.std(ddof=1)) for col in samples.T]
     if not np.isfinite([*theta_bar, *sds]).all():
         raise NumericalError(
-            f"{target.model}: posterior mean or sd is not finite; the chain ran off "
+            f"{draws.model}: posterior mean or sd is not finite; the chain ran off "
             "along an improper ridge of the posterior (garch-re has one: a -> inf with "
             "omega ~ a^2, the Cauchy limit of the rational law, which a short series "
             "does not rule out)"
         )
     summaries = []
-    for name, col, sd in zip(target.names, samples.T, sds):
+    for name, col, sd in zip(PARAM_NAMES[law], samples.T, sds):
         tau_int = integrated_autocorr_time(col).tau_int
         summaries.append(ParamSummary(name, float(col.mean()), sd, tau_int))
 
-    params_bar = GarchParams.from_vector(theta_bar, law=target.law)
-    lnl_at_mean = log_likelihood(params_bar, target.returns, target.init_variance)
+    lnl_at_mean = log_likelihood(GarchParams.from_vector(theta_bar, law=law), returns)
 
-    if target.law == RATIONAL:
+    if law == RATIONAL:
         a_mean = theta_bar[3]
         if a_mean < UNIMODAL_MIN_A:
             logger.warning(
@@ -660,47 +686,55 @@ def _chain(target, state, proposal, config):
 
     logger.info(
         "%s chain: acceptance %.1f%%, lnL(theta_bar)=%.2f",
-        target.model,
-        100.0 * acceptance_rate,
+        draws.model,
+        100.0 * draws.acceptance_rate,
         lnl_at_mean,
     )
     return PosteriorChain(
-        model=target.model,
-        param_names=target.names,
+        model=draws.model,
+        param_names=PARAM_NAMES[law],
         samples=samples,
-        samples_log=samples_log,
-        log_posteriors=log_targets[burn_in + 1 :],
-        log_likelihoods=log_liks[burn_in + 1 :],
-        acceptance_rate=acceptance_rate,
+        samples_log=draws.samples_log,
+        log_posteriors=draws.log_posteriors,
+        log_likelihoods=draws.log_likelihoods,
+        acceptance_rate=draws.acceptance_rate,
         summaries=summaries,
-        lnl_at_mean=float(lnl_at_mean),
-        config=config,
-        n_obs=len(target.returns),
-        data_digest=data_digest(target.returns),
+        lnl_at_mean=lnl_at_mean,
+        config=draws.config,
+        n_obs=len(returns),
+        data_digest=data_digest(returns),
     )
 
 
 def run_chain(model, returns, config=None):
-    """Estimate ``model`` ("garch-n" or "garch-re") on a return series.
+    """Estimate ``model`` ("garch-n" or "garch-re") on a return series:
+    :func:`summarize` of :func:`draw_chain`.
 
-    Finds the start state and proposal (:func:`_start`), then runs one chain
-    from them (:func:`_chain`).  Raises :class:`ValidationError` for run
-    lengths the sampler cannot use, :class:`AdaptationFailureError` when the
-    kept acceptance rate is degenerate (< 1%), and :class:`NumericalError`
-    when the posterior mean or an sd is not finite.
+    Raises :class:`ValidationError` for run lengths the sampler cannot use,
+    :class:`AdaptationFailureError` (from the draws) when the kept
+    acceptance rate is degenerate (< 1%), and :class:`NumericalError` (from
+    the summary) when the posterior mean or an sd is not finite.
     """
+    return summarize(draw_chain(model, returns, config), returns)
+
+
+def draw_chain(model, returns, config=None):
+    """The kept draws of ``model``'s chain on a return series, before any
+    summary: finds the start state and proposal (:func:`_start`), then runs
+    one chain from them (:func:`_chain`).  Logs and warns nothing."""
     config = config or ChainConfig()
     return _chains(model, returns, config, [config.seed])[0]
 
 
 def run_chains(model, returns, config=None, n_chains=2):
     """Independent replicas from one shared start, with seeds spawned from
-    ``config.seed``; each equals :func:`run_chain` at its spawned seed."""
+    ``config.seed``, each summarised; each equals :func:`run_chain` at its
+    spawned seed."""
     if n_chains < 1:
         raise DomainError("n_chains must be at least 1")
     config = config or ChainConfig()
     seeds = np.random.SeedSequence(config.seed).generate_state(n_chains)
-    return _chains(model, returns, config, seeds)
+    return [summarize(draws, returns) for draws in _chains(model, returns, config, seeds)]
 
 
 def check_adapt_interval(model, config):
@@ -712,8 +746,8 @@ def check_adapt_interval(model, config):
 
 
 def _chains(model, returns, config, seeds):
-    """One chain per seed from one start search, which a too short
-    adaptation interval never reaches."""
+    """The draws of one chain per seed from one start search, which a too
+    short adaptation interval never reaches."""
     target = _LogTarget(model, returns, config.prior)
     check_adapt_interval(model, config)
     start = _start(target, config.nu)

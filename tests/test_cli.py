@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import os
 import pickle
 import subprocess
@@ -582,6 +583,29 @@ class TestRv:
         _, _, b = _read_csv(out["1e13"] / "rv_1e+13s.csv")
         assert a == b
 
+    @pytest.mark.parametrize("deltas", ["300,300.0000001", "1234.567,1234.568"])
+    def test_nearby_periods_keep_files_of_their_own(
+        self, market, tmp_path, capsys, deltas
+    ):
+        # two periods that print alike under :g are two files, and the
+        # record and the table name each period exactly
+        args = [
+            "rv", "--ticks", str(market / "ticks.csv"),
+            "--delta-list", deltas, "--out-dir", str(tmp_path),
+        ]  # fmt: skip
+        assert cli.main(args) == 0
+        periods = deltas.split(",")
+        table = capsys.readouterr().out.split("hl_factor\n")[1].splitlines()
+        assert [row.split()[0] for row in table[: len(periods)]] == periods
+        assert sorted(p.name for p in tmp_path.glob("rv_*")) == sorted(
+            f"rv_{period}s.csv" for period in periods
+        )
+        for name in ("signature.csv", *(f"rv_{period}s.csv" for period in periods)):
+            comments, _, _ = _read_csv(tmp_path / name)
+            assert f"# delta-list = {deltas}" in comments
+        _, _, rows = _read_csv(tmp_path / "hl.csv")
+        assert _column(rows, 0).tolist() == [float(period) for period in periods]
+
     def test_tick_reader_child_is_reaped(self, market, tmp_path):
         # the market's tick file is more than 256 KB: it is read with a
         # forked child, which is gone when rv returns
@@ -811,8 +835,8 @@ class TestGoldenArtifacts:
 
 
 class TestForkedWorker:
-    """``compare`` and ``rmspe`` fit garch-re in a forked child while
-    garch-n is fitted here; nothing but the wall time may tell."""
+    """``compare`` and ``rmspe`` draw the garch-re chain in a forked child
+    while garch-n is fitted here; nothing but the wall time may tell."""
 
     def _compare(self, market, tmp_path):
         args = ["compare", "--data", str(market / "daily.csv")]
@@ -856,6 +880,32 @@ class TestForkedWorker:
             "RuntimeWarning: alpha + beta >= 1: variance is not covariance stationary"
         )
         assert lines[2].startswith("INFO regarch.mcmc: garch-re chain: acceptance")
+
+    @pytest.mark.parametrize("command", ["compare", "rmspe"])
+    def test_child_writes_nothing(self, market, tmp_path, command):
+        # every stderr byte is the command's own: the same with the forked
+        # children (rmspe also forks its tick reader) as with none
+        args = [command, "--data", "daily.csv", *_FAST_CHAIN]
+        if command == "rmspe":
+            args += ["--ticks", "ticks.csv", "--delta-list", "900"]
+        src = os.path.dirname(os.path.dirname(regarch.__file__))
+        stderr = {}
+        for fork in ("forked", "one"):
+            code = "import os, sys\n"
+            if fork == "one":
+                code += "del os.fork\n"
+            code += "from regarch.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+            run = subprocess.run(
+                [sys.executable, "-c", code, *args, "--out-dir", str(tmp_path / fork)],
+                cwd=market,
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            stderr[fork] = run.stderr
+        assert stderr["forked"].count(b"INFO regarch.mcmc") == 2
+        assert stderr["forked"] == stderr["one"]
 
     # the garch-n posterior mean here has alpha + beta >= 1
     @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
@@ -954,19 +1004,6 @@ class TestForkedWorker:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
         _no_child_left()
 
-    def test_replayed_warning_is_filtered_as_at_its_origin(self):
-        # a replayed warning counts against the registry of the module it is
-        # attributed to, and module filters match that module's name
-        warning = (RuntimeWarning("replayed once"), mcmc.__file__, 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default")
-            cli._replay(warning)
-            cli._replay(warning)
-            warnings.filterwarnings("ignore", module="regarch\\.mcmc")
-            cli._replay((RuntimeWarning("ignored"), mcmc.__file__, 1))
-        assert [str(w.message) for w in caught] == ["replayed once"]
-
     def test_errors_survive_the_pipe(self):
         # the worker's exception crosses the pipe pickled
         for error, attr, value in [
@@ -1013,7 +1050,7 @@ class TestForkedWorker:
                 return 3
 
         arrays = []
-        payload = ((np.arange(3.0), np.ones(2)), None, [])
+        payload = ((np.arange(3.0), np.ones(2)), None)
         body = pickle.dumps(payload, protocol=5, buffer_callback=arrays.append)
         frames = [bytearray(array.raw()) for array in arrays]
         assert len(frames) == 2
@@ -1021,6 +1058,57 @@ class TestForkedWorker:
         assert chain[0].tolist() == [0.0, 1.0, 2.0] and chain[1].flags.writeable
         with pytest.raises(cli.WorkerError, match="exit code 3"):
             cli._received("garch-re", Frames([body, *frames[:arrays_sent]]))
+
+
+class TestDrawStage:
+    """``draw_chain``, all that the forked worker runs, reports nothing;
+    ``summarize``, run by the command, makes every report of a chain."""
+
+    _CONFIG = mcmc.ChainConfig(burn_in=300, samples=600, adapt_interval=100)
+
+    @pytest.mark.parametrize("model", ["garch-n", "garch-re"])
+    def test_draws_log_and_warn_nothing(self, market, model, caplog):
+        returns = daily_log_returns(load_daily_prices(market / "daily.csv"))
+        caplog.set_level(logging.DEBUG)
+        caplog.set_level(logging.DEBUG, logger="regarch")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = mcmc.draw_chain(model, returns, self._CONFIG)
+        assert caplog.records == []
+        # the summary reports what the draws did not: here the garch-re
+        # posterior mean has alpha + beta >= 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mcmc.summarize(draws, returns)
+        stationary = "alpha + beta >= 1: variance is not covariance stationary"
+        assert [str(w.message) for w in caught] == (
+            [stationary] if model == "garch-re" else []
+        )
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            f"{model} chain"
+        ]
+
+    @pytest.mark.parametrize("model", ["garch-n", "garch-re"])
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_summary_of_pickled_draws_equals_run_chain(self, market, model):
+        # the draws cross the pipe as the worker sends them, with each array
+        # as a buffer of its own, and summarise to run_chain's chain, bit for bit
+        returns = daily_log_returns(load_daily_prices(market / "daily.csv"))
+        chain = mcmc.run_chain(model, returns, self._CONFIG)
+        arrays = []
+        body = pickle.dumps(
+            mcmc.draw_chain(model, returns, self._CONFIG),
+            protocol=5,
+            buffer_callback=arrays.append,
+        )
+        frames = [bytearray(array.raw()) for array in arrays]
+        assert len(frames) == 3
+        again = mcmc.summarize(pickle.loads(body, buffers=frames), returns)
+        for name in ("samples", "samples_log", "log_posteriors", "log_likelihoods"):
+            assert getattr(again, name).tobytes() == getattr(chain, name).tobytes()
+        assert again.summaries == chain.summaries
+        assert again.lnl_at_mean == chain.lnl_at_mean
+        assert again.summary_dict() == chain.summary_dict()
 
 
 class TestImports:

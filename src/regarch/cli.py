@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import pickle
 import sys
 import traceback
@@ -89,8 +90,9 @@ def _delta_list(text):
         raise argparse.ArgumentTypeError(f"bad sampling period list {text!r}")
     if not deltas:
         raise argparse.ArgumentTypeError("empty sampling period list")
-    if any(d <= 0 for d in deltas):
-        raise argparse.ArgumentTypeError("sampling periods must be positive")
+    # a NaN fails every comparison, so test for a number in (0, inf)
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise argparse.ArgumentTypeError("sampling periods must be positive and finite")
     return deltas
 
 

@@ -209,3 +209,18 @@ def log_likelihoods(thetas, law, returns, init_variance=None):
     block = getattr(_kernels, f"{law}_loglik_block")
     out[valid] = block(*np.ascontiguousarray(thetas[valid].T), values, init)
     return out
+
+
+def log_likelihood_gradient(theta, law, returns, init_variance=None):
+    """Log-likelihood at the parameter vector ``theta`` (in the order of
+    :meth:`GarchParams.to_vector` for ``law``) and its gradient in those
+    parameters: (loglik, gradient), or (-inf, None) where a parameter is not
+    positive and finite or a variance, term or slope is not.  The value
+    equals :func:`log_likelihoods`' to rounding, not bit for bit.
+    """
+    init = _resolve_init(returns, init_variance)
+    theta = np.asarray(theta, dtype=np.float64)
+    if not (np.isfinite(theta) & (theta > 0.0)).all():
+        return -math.inf, None
+    values = np.ascontiguousarray(returns.values, dtype=np.float64)
+    return getattr(_kernels, f"{law}_loglik_grad")(*theta.tolist(), values, init)

@@ -16,8 +16,9 @@ proper in practice; under garch-re it does not.  As a -> inf with
 omega ~ a^2 the rational law tends to a Cauchy law and the likelihood to a
 constant, while the Jacobian keeps growing, so the posterior is improper
 along that ridge, and chains on short series can run off along it.  A
-posterior mean or sd that is not finite, like a collapsed acceptance rate,
-is reported as an error rather than papered over.
+start search that runs off to where the parameters overflow, a posterior
+mean or sd that is not finite, and a collapsed acceptance rate are reported
+as errors rather than papered over.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .garch import (
     RATIONAL,
     GarchParams,
     log_likelihood,
+    log_likelihood_gradient,
     log_likelihoods,
 )
 from .rational import UNIMODAL_MIN_A
@@ -62,6 +64,19 @@ _TAU_MAX_LAG = 10_000
 
 # frozen-phase MH steps scored per block
 _FROZEN_BLOCK = 2000
+
+# the start search stops once every gradient component is this small, or
+# after this many iterations; a line search gives up after this many trials
+_SEARCH_GTOL = 1e-6
+_SEARCH_ITERATIONS = 200
+_LINE_TRIALS = 40
+
+# where a chain or its start search runs off
+_RIDGE = (
+    "an improper ridge of the posterior (garch-re has one: a -> inf with "
+    "omega ~ a^2, the Cauchy limit of the rational law, which a short series "
+    "does not rule out)"
+)
 
 
 def model_law(model):
@@ -197,7 +212,9 @@ def acf(series, max_lag):
     x = x - x.mean()
     m = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x, m)
-    autocov = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n
+    # the power spectrum in place: one spectrum-sized temporary fewer
+    np.multiply(f, np.conj(f), out=f)
+    autocov = np.fft.irfft(f, m)[: max_lag + 1] / n
     if autocov[0] == 0.0:
         raise NumericalError("series is constant; autocorrelation undefined")
     return autocov / autocov[0]
@@ -437,6 +454,8 @@ class _LogTarget:
     :meth:`score` scores a block of points at once; a call scores one point
     as a one-row block, which ``log_likelihoods`` runs on the scalar kernel,
     while the many-row blocks of MH candidates run on the block kernels.
+    :meth:`value_and_gradient` serves the start search, on the gradient
+    kernels.
     """
 
     def __init__(self, model, returns, prior):
@@ -466,6 +485,24 @@ class _LogTarget:
         # Jacobian of theta = exp(x) is sum(x)
         lts = np.where(lls == -math.inf, -math.inf, lls + xs.sum(axis=1))
         return lts, lls
+
+    def value_and_gradient(self, x):
+        """Log target at one point ``x`` and its gradient in x, from the
+        gradient kernel: (log target, gradient), or (-inf, None) wherever
+        the target rejects."""
+        with np.errstate(over="ignore"):
+            theta = np.exp(x)
+        if not self.prior.contains(theta[None], self.names)[0]:
+            return -math.inf, None
+        ll, grad = log_likelihood_gradient(theta, self.law, self.returns, self.init_variance)
+        if grad is None:
+            return -math.inf, None
+        # the chain rule through theta = exp(x), and the Jacobian sum(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = theta * grad + 1.0
+        if not np.isfinite(grad).all():
+            return -math.inf, None
+        return ll + float(x.sum()), grad
 
 
 def _draw_block(proposal, rng, count):
@@ -504,98 +541,144 @@ def _mh_block(positions, log_targets, log_liks, proposal, target, rng):
     return accepts
 
 
-def _nelder_mead(func, x0, maxiter, xatol, fatol):
-    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex.
+class _Box:
+    """Unbounded search coordinates z for the log coordinates x inside the
+    prior's box, as Stan maps a bounded parameter (Stan Reference Manual,
+    "Constraint transforms"): with l and h the logs of a parameter's bounds,
+    x = l + exp(z) above a lone lower bound, x = h - exp(z) below a lone
+    upper bound, x = l + (h - l) / (1 + exp(-z)) between both, and x = z
+    where the prior sets none.  A line search then never meets a wall."""
 
-    The path of ``scipy.optimize.minimize(method="Nelder-Mead")`` that the
-    start-point search takes, in the same arithmetic: the default initial
-    simplex (each coordinate scaled by 1.05, or set to 0.00025 where it is
-    zero), no bounds, the standard coefficients (reflection 1, expansion 2,
-    contraction 1/2, shrink 1/2), no limit on evaluations, and the same
-    stopping tests.  Returns (x, f(x), evaluations, iterations).
+    def __init__(self, prior, names):
+        with np.errstate(divide="ignore"):
+            self.lo = np.log([max(prior.lower.get(name, 0.0), 0.0) for name in names])
+            self.hi = np.log([prior.upper.get(name, math.inf) for name in names])
+        self.lower = np.isfinite(self.lo)
+        self.upper = np.isfinite(self.hi)
+        self.bounded = bool((self.lower | self.upper).any())
+
+    def x(self, z):
+        """x at ``z``, and dx/dz."""
+        if not self.bounded:
+            return z, np.ones_like(z)
+        kinds = [self.lower & self.upper, self.lower, self.upper]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            e = np.exp(z)
+            width = self.hi - self.lo
+            share = 1.0 / (1.0 + 1.0 / e)
+            x = np.select(kinds, [self.lo + width * share, self.lo + e, self.hi - e], z)
+            slope = np.select(kinds, [width * share / (1.0 + e), e, -e], 1.0)
+        return x, slope
+
+    def z(self, x):
+        """z at ``x``, inside the box."""
+        kinds = [self.lower & self.upper, self.lower, self.upper]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            above, below = np.log(x - self.lo), np.log(self.hi - x)
+            return np.select(kinds, [above - below, above, below], x)
+
+
+def _wolfe_step(func, x, f, g, p, alpha):
+    """A step from ``x`` along the descent direction ``p`` that meets the
+    weak Wolfe conditions, found by doubling and bisection from the trial
+    step ``alpha`` (Lewis & Overton, Math. Program. 141, 2013).  ``func``
+    gives (value, gradient), with the value inf where it rejects a point;
+    ``f`` and ``g`` are its values at ``x``.  Near a minimum the decrease
+    is lost in the rounding of the value, and the approximate Wolfe test of
+    Hager & Zhang (SIAM J. Optim. 16(1), 2005) stands in for it: the value
+    no more than 1e-10 |f| higher and the slope at the step below 0.9998
+    times the slope at x in size.  Returns ((x, f, g) at the step,
+    evaluations, edge); the step is None when ``_LINE_TRIALS`` trials find
+    none, and edge is whether the last trial to fail the decrease test was a
+    rejected point.
     """
-    n = x0.shape[0]
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return func(np.copy(x))
-
-    fsim = np.array([f(v) for v in sim], dtype=np.float64)
-    # the reference sorts twice before the loop; argsort need not be stable,
-    # so ties may move on the second pass
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    nit = 1
-    while nit < maxiter:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+    slope = g @ p
+    lo, hi, edge = 0.0, math.inf, False
+    for trial in range(1, _LINE_TRIALS + 1):
+        with np.errstate(over="ignore"):
+            xt = x + alpha * p
+        ft, gt = func(xt)
+        slope_t = math.nan if gt is None else gt @ p
+        if not (
+            ft <= f + 1e-4 * alpha * slope
+            or (ft <= f + 1e-10 * abs(f) and slope_t <= -0.9998 * slope)
         ):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            hi, edge = alpha, ft == math.inf
+        elif slope_t < 0.9 * slope:
+            lo = alpha
         else:
-            if fxr < fsim[-1]:
-                # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:
-                # inside contraction
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
-                fxcc = f(xcc)
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        nit += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev, nit
+            return (xt, ft, gt), trial, False
+        alpha = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    return None, _LINE_TRIALS, edge
+
+
+def _bfgs(func, x0, gtol, maxiter):
+    """Minimize ``func``, which gives (value, gradient) with the value inf
+    where it rejects a point, by BFGS from the accepted point ``x0``
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., alg. 6.1) with a
+    weak Wolfe line search.  The first trial step is at most 1 long in each
+    coordinate, and the first update rescales the identity by s'y / y'y
+    (their eq. 6.20).  Stops when every gradient component is at most
+    ``gtol`` ("converged"), after ``maxiter`` iterations ("iterations"), or
+    when the line search finds no step ("edge" when it gave up against
+    rejected points, else "stalled").  Returns (x, value, evaluations,
+    iterations, stop).
+    """
+    x = np.array(x0, dtype=np.float64)
+    f, g = func(x)
+    evaluations = 1
+    eye = np.eye(x.shape[0])
+    h = eye
+    alpha = 1.0 / max(1.0, float(np.abs(g).max()))
+    for iteration in range(maxiter):
+        if np.abs(g).max() <= gtol:
+            return x, f, evaluations, iteration, "converged"
+        step, trials, edge = _wolfe_step(func, x, f, g, -h @ g, alpha)
+        evaluations += trials
+        if step is None:
+            return x, f, evaluations, iteration, "edge" if edge else "stalled"
+        s, y = step[0] - x, step[2] - g
+        # s'y > 0 under the curvature condition
+        sy = s @ y
+        if iteration == 0:
+            h = eye * (sy / (y @ y))
+        v = eye - np.outer(s, y) / sy
+        h = v @ h @ v.T + np.outer(s, s) / sy
+        x, f, g = step
+        alpha = 1.0
+    return x, f, evaluations, maxiter, "iterations"
 
 
 def _start(target, nu):
     """Start state (position, log target, log-likelihood) and the
     Laplace-scaled proposal centred there.
 
-    The start is the log-target mode found by Nelder-Mead from the
-    moment-informed start point, scored once.  It draws no random numbers,
-    so replicas of a chain share it.
+    The start is the log-target mode found by BFGS (:func:`_bfgs`) on the
+    gradient kernel from the moment-informed start point, in coordinates
+    in which the prior's box has no walls (:class:`_Box`), and scored once
+    by :meth:`_LogTarget.score`.  A search that gives up against rejected
+    points, still short of a mode, has run off to the overflow edge of
+    theta = exp(x) along an improper ridge, and raises
+    :class:`NumericalError`.  The search draws no random numbers, so
+    replicas of a chain share it.
     """
     x0 = _start_point(target.returns, target.law)
     if target(x0) == -math.inf:
         raise DomainError("prior excludes the moment-informed starting point")
-    # the search scores x0 first and never gives up its best vertex, so the
-    # point it returns scores at least as high as x0
-    x_start, _, _, _ = _nelder_mead(
-        lambda x: -target(x), x0, maxiter=500 * x0.shape[0], xatol=1e-6, fatol=1e-8
-    )
+    box = _Box(target.prior, target.names)
+
+    def descent(z):
+        x, slope = box.x(z)
+        lt, grad = target.value_and_gradient(x)
+        return (math.inf, None) if grad is None else (-lt, -grad * slope)
+
+    z_start, _, _, _, stop = _bfgs(descent, box.z(x0), _SEARCH_GTOL, _SEARCH_ITERATIONS)
+    if stop == "edge":
+        raise NumericalError(
+            f"{target.model}: the start search found no mode; the log target "
+            f"still rises where theta = exp(x) overflows, along {_RIDGE}"
+        )
+    x_start = box.x(z_start)[0]
     lt, ll = (float(s[0]) for s in target.score(x_start[None]))
     proposal = StudentTProposal(x_start, _laplace_scale(target, x_start, lt, nu), nu)
     return (x_start, lt, ll), proposal
@@ -664,9 +747,7 @@ def summarize(draws, returns):
     if not np.isfinite([*theta_bar, *sds]).all():
         raise NumericalError(
             f"{draws.model}: posterior mean or sd is not finite; the chain ran off "
-            "along an improper ridge of the posterior (garch-re has one: a -> inf with "
-            "omega ~ a^2, the Cauchy limit of the rational law, which a short series "
-            "does not rule out)"
+            f"along {_RIDGE}"
         )
     summaries = []
     for name, col, sd in zip(PARAM_NAMES[law], samples.T, sds):
@@ -712,8 +793,9 @@ def run_chain(model, returns, config=None):
 
     Raises :class:`ValidationError` for run lengths the sampler cannot use,
     :class:`AdaptationFailureError` (from the draws) when the kept
-    acceptance rate is degenerate (< 1%), and :class:`NumericalError` (from
-    the summary) when the posterior mean or an sd is not finite.
+    acceptance rate is degenerate (< 1%), and :class:`NumericalError` when
+    the start search runs off along an improper ridge (from the draws) or
+    the posterior mean or an sd is not finite (from the summary).
     """
     return summarize(draw_chain(model, returns, config), returns)
 

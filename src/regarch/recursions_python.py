@@ -27,7 +27,21 @@ column by column in that order and combine the leaf sums in that tree.  A
 NumPy release that changed its reduction would break the equality, and the
 differential tests, which compare block rows with the scalar kernel at
 lengths on both sides of each leaf and split boundary, would catch it.
+
+The gradient kernels (``normal_loglik_grad``, ``rational_loglik_grad``)
+give the log-likelihood at one point and its gradient, for the start-point
+search.  Each law's slopes (``_normal_slopes``, ``_rational_slopes``) give
+the derivative of every term in its variance, vectorised over t, and the
+sum of the derivatives in the law's own parameter.  The variance depends on
+(omega, alpha, beta) through the recursion, and the chain rule runs it
+backwards: one pass of the constant-beta filter h_k = u_k + beta h_{k-1}
+over the reversed variance slopes, then three dot products.  Both that pass
+and the variance path run the filter in closed form over chunks of
+``_CHUNK`` steps, which rounds differently from the float loop: the value
+agrees with the scalar kernel to rounding, not bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -40,6 +54,10 @@ _LEAF = 128
 # cap on the doubles in a pass's three leaf buffers, which sets the points
 # per pass: _BLOCK_ELEMENTS // (3 * _LEAF)
 _BLOCK_ELEMENTS = 1 << 19
+# steps per chunk of the closed-form filter, and the lags i - j of a chunk's
+# transfer matrix
+_CHUNK = 32
+_LAGS = np.abs(np.subtract.outer(np.arange(_CHUNK), np.arange(_CHUNK)))
 
 
 def _variance_path(omega, alpha, beta, returns, init_variance):
@@ -97,6 +115,82 @@ def _rational_terms_into(s, y2, bufs, a):
     s *= 0.5
     terms -= s
     return terms
+
+
+def _normal_slopes(s, y2):
+    """The derivative of each Gaussian term in its variance ``s``, and the
+    law's own parameter slopes (none)."""
+    x2 = y2 / s
+    return 0.5 * (x2 - 1.0) / s, ()
+
+
+def _rational_slopes(s, y2, a):
+    """The derivative of each rational term in its variance ``s``, and the
+    derivative of their sum in ``a``."""
+    x2 = y2 / s
+    ratio = x2 / ((x2 - 1.0) ** 2 + a * a * x2)
+    ds = (ratio * (2.0 * (x2 - 1.0) + a * a) - 0.5) / s
+    return ds, (y2.shape[0] / a - 2.0 * a * ratio.sum(),)
+
+
+def _beta_filter(u, beta, h0):
+    """h[k] = u[k] + beta * h[k-1] with h[-1] = ``h0``, in closed form over
+    chunks of ``_CHUNK`` steps: within a chunk h[i] = sum over j <= i of
+    beta^(i-j) u[j], plus beta^(i+1) times the chunk's carry in, one matrix
+    product for all chunks; then the carries, one float step per chunk."""
+    n = u.shape[0]
+    chunks = -(-n // _CHUNK)
+    v = np.zeros((chunks, _CHUNK))
+    v.ravel()[:n] = u
+    powers = beta ** np.arange(_CHUNK + 1.0)
+    h = v @ np.tril(powers[_LAGS]).T
+    carries = np.empty(chunks)
+    carry, step = h0, float(powers[-1])
+    for i, last in enumerate(h[:, -1].tolist()):
+        carries[i] = carry
+        carry = last + step * carry
+    h += np.multiply.outer(carries, powers[1:])
+    return h.ravel()[:n]
+
+
+def _loglik_grad(params, returns, init_variance, terms_into, slopes):
+    """Log-likelihood at one point and its gradient in ``params``:
+    (loglik, gradient), or (-inf, None) where a term or a slope is not
+    finite."""
+    omega, alpha, beta, *law_params = params
+    n = returns.shape[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y2 = returns**2
+        sig2 = np.empty(n)
+        sig2[0] = init_variance
+        sig2[1:] = _beta_filter(omega + alpha * y2[:-1], beta, init_variance)
+        ll = float(terms_into(sig2.copy(), y2, np.empty((2, n)), *law_params).sum())
+        ds, law_grad = slopes(sig2, y2, *law_params)
+        # d sig2[t] / d theta = sum over j < t of beta^(t-1-j) u[j], with
+        # u = 1, y2 and sig2 for omega, alpha and beta; swapping the sums,
+        # the gradient is sum over j of u[j] g[j], where
+        # g[j] = ds[j+1] + beta * g[j+1] is the filter run backwards over ds
+        g = _beta_filter(ds[:0:-1], beta, 0.0)[::-1]
+        grad = np.array([g.sum(), y2[:-1] @ g, sig2[:-1] @ g, *law_grad])
+    if not (math.isfinite(ll) and np.isfinite(grad).all()):
+        return -math.inf, None
+    return ll, grad
+
+
+def normal_loglik_grad(omega, alpha, beta, returns, init_variance):
+    """Gaussian log-likelihood and its gradient in (omega, alpha, beta);
+    (-inf, None) at a bad point."""
+    return _loglik_grad(
+        (omega, alpha, beta), returns, init_variance, _normal_terms_into, _normal_slopes
+    )
+
+
+def rational_loglik_grad(omega, alpha, beta, a, returns, init_variance):
+    """Rational-error log-likelihood and its gradient in
+    (omega, alpha, beta, a); (-inf, None) at a bad point."""
+    return _loglik_grad(
+        (omega, alpha, beta, a), returns, init_variance, _rational_terms_into, _rational_slopes
+    )
 
 
 def _loglik(params, returns, init_variance, terms_into):

@@ -82,6 +82,16 @@ class TestParsing:
         code = cli.main(["rv", "--ticks", "x.csv", "--delta-list", deltas])
         assert code == 2
 
+    @pytest.mark.parametrize("deltas", ["nan", "inf", "300,-inf", "30,NaN"])
+    @pytest.mark.parametrize("command", ["rv", "rmspe"])
+    def test_non_finite_delta_list(self, command, deltas, tmp_path, capsys):
+        args = [command, "--ticks", "x.csv", "--delta-list", deltas]
+        if command == "rmspe":
+            args += ["--data", "x.csv"]
+        assert cli.main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "sampling periods must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_start_date(self, capsys):
         assert cli.main(["simulate", "--start-date", "01/02/2006"]) == 2
 
@@ -727,24 +737,24 @@ _MARKET_GOLDEN = {
          *_FAST_CHAIN],
         {
             "chain_garch-re.csv":
-                "1a88bed22f585a8029b1b0985a9b86fec43c52800c6fb8df1c8a946fd042d601",
+                "fef2b6bfd69b50d7724b3ad8345238214d0da309901a3c755867e21de794a223",
             "summary_garch-re.json":
-                "23a8a9036a0785790989f4c2842dc3f74d9abd7e928fcc23b9a8b0fbf86664c7",
+                "b4389b84fc3510fa359fcf8469fec26e8742f92f72e247d925fe1c5d781d8244",
         },
     ),
     "compare": (
         ["compare", "--data", "daily.csv", *_FAST_CHAIN],
         {
             "chain_garch-n.csv":
-                "b4384dbb7578b219b68a4a6f2a35410b83d9458de5c6f6517eb44e1288070411",
+                "29e35b2987133510e7b72f323fcee42a719129d63b5de5f6cd0903bbaec7a3c6",
             "chain_garch-re.csv":
-                "d9ad024d4fb5524c8d873d2f96c64ea41bc18ad8a85be9bd160a07e42bb1a390",
+                "928833aa43f19888546bf67d06805f34eda70314a59eb978268ed1b6eebf578e",
             "comparison.json":
-                "e1e0720a1841d96c83bc2784f6a52a0c09275307587bf71d2fb11aaec5066874",
+                "6c55f312af14baacfc29bd837946060fb0f6841060a26dd1dfeaaadaf86fbea7",
             "summary_garch-n.json":
-                "337d87e737ad794682a15212623431cc943b40177c490d468450a79b4107118f",
+                "76f848be51ddda35c4a8e0162bc545492c0b97dbd7a26efeb46e1e014997dd0d",
             "summary_garch-re.json":
-                "e415c3b9aecc857030e0a40eebdeb76d1eb5afe2ff8e6dba2fc29ba236014007",
+                "5a6f90f5e5eeab4c36f77e453df842366343e02316d7a52fb3a9dd95a7d9637f",
         },
     ),
     "rv": (
@@ -766,15 +776,15 @@ _MARKET_GOLDEN = {
          "--delta-list", "300,900", *_FAST_CHAIN],
         {
             "chain_garch-n.csv":
-                "a0b7a1ba7e08373fd51c3c02e1892254a467ffbf129f17e4fd61d9ea1a2417b2",
+                "fa77aee8667fb294e3be9aef2ea8d18f3d8c67305b6f0ea5f2821180dc4e1a2f",
             "chain_garch-re.csv":
-                "8643c5c564f111b5a13be6ca2cecb070a9f9658c6c5e5505357677937139ef7b",
+                "15cdc82f03fa1fac42ded004d868b69f9f05a78bd723f830df57e9ec3fd281be",
             "rmspe.csv":
-                "6fbd52f157859d1f78fe31552c9e6647fa12fb9e8a6d161a799cb9d243b0ac7b",
+                "5e8e1593901652ac3216a6a8097d45e8160af414429a5a5237448fb7b093a4cd",
             "summary_garch-n.json":
-                "7a8b6fd8eda852018662fe20451b339ac2be38f9a4c47673f9438eec7b0873c4",
+                "52872e4c4430620eb8f45c47626baa95d8e5db59f89ea8752243b1e87f907aa8",
             "summary_garch-re.json":
-                "c9a2befa5e6df7ac4d654662e490701fde633dcccee577976001a38d5c547096",
+                "96c71e005c5218870c6b91749149569b1c0eddb39667190f3b17faa6b10dcbda",
         },
     ),
     "rmspe-rv-as-vols": (
@@ -919,7 +929,7 @@ class TestForkedWorker:
             assert cli.main(args) == 1
         assert fork.call_count == 1
         err = capsys.readouterr().err
-        assert "error: garch-re: posterior mean or sd is not finite" in err
+        assert "error: garch-re: the start search found no mode" in err
         assert "improper ridge" in err
         assert not (tmp_path / "out").exists()
         _no_child_left()

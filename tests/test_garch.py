@@ -18,11 +18,21 @@ from regarch.garch import (
     VolSeries,
     check_constraints,
     log_likelihood,
+    log_likelihood_gradient,
     log_likelihoods,
     volatility_recursion,
 )
-from regarch.mcmc import MODEL_NORMAL, MODEL_RATIONAL, Prior, _LogTarget
-from reference import log_posterior
+from regarch.mcmc import (
+    MODEL_NORMAL,
+    MODEL_RATIONAL,
+    Prior,
+    _LogTarget,
+    _start,
+    _start_point,
+    _wolfe_step,
+)
+from regarch.simulate import simulate_garch
+from reference import log_posterior, loglik_gradient
 
 def _returns(values, start=date(2006, 1, 2)):
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
@@ -421,3 +431,128 @@ class TestBlockKernel:
                 assert lt == lp + x.sum()
                 assert ll == log_likelihood(params, rets)
         assert math.isfinite(log_targets[0]) and math.isfinite(log_targets[4])
+
+
+_GRADIENT_TRUTH = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)
+
+
+def _gradient_target(model, n, prior=None):
+    returns, _ = simulate_garch(_GRADIENT_TRUTH, n, np.random.default_rng(1001))
+    return _LogTarget(model, returns, prior or Prior())
+
+
+def _descent(target):
+    """The start search's objective: minus the log target and its gradient,
+    inf where the target rejects; every value it gives is kept in order."""
+    seen = []
+
+    def func(x):
+        lt, grad = target.value_and_gradient(x)
+        seen.append(lt)
+        return (math.inf, None) if grad is None else (-lt, -grad)
+
+    return func, seen
+
+
+class TestGradientKernel:
+    """The log-likelihood's gradient kernels against central differences of
+    the MH target and against a forward float loop, at the moment-informed
+    start point and at the mode."""
+
+    @pytest.fixture(scope="class", params=[30, 249, 1499])
+    def points(self, request):
+        out = []
+        for model in (MODEL_NORMAL, MODEL_RATIONAL):
+            target = _gradient_target(model, request.param)
+            (mode, _, _), _ = _start(target, 10.0)
+            x0 = _start_point(target.returns, target.law)
+            out += [(target, x0), (target, mode)]
+        return out
+
+    def test_matches_central_differences_of_the_target(self, points):
+        # fourth-order differences with h = 1e-4 agree to about 1e-8 here
+        h = 1e-4
+        for target, x in points:
+            lt, grad = target.value_and_gradient(x)
+            assert lt == pytest.approx(target(x), rel=1e-13)
+            steps = h * np.eye(x.shape[0])
+            fd = [
+                (-target(x + 2 * e) + 8 * target(x + e) - 8 * target(x - e) + target(x - 2 * e))
+                / (12 * h)
+                for e in steps
+            ]
+            np.testing.assert_allclose(grad, fd, rtol=1e-9, atol=1e-6)
+
+    def test_matches_the_float_loop_reference(self, points):
+        for target, x in points:
+            theta = np.exp(x)
+            ll, grad = log_likelihood_gradient(
+                theta, target.law, target.returns, target.init_variance
+            )
+            ref_ll, ref_grad = loglik_gradient(
+                target.law, theta.tolist(), target.returns.values.tolist(), target.init_variance
+            )
+            assert ll == pytest.approx(ref_ll, rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-9)
+
+    @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
+    def test_kernel_contract(self, law):
+        y = np.array([0.01, -0.02, 0.015, 0.003])
+        theta = [1e-5, 0.1, 0.8, 1.57][: 3 + (law == RATIONAL)]
+        ll, grad = getattr(recursions_python, f"{law}_loglik_grad")(*theta, y, 1e-4)
+        scalar, bad = getattr(recursions_python, f"{law}_loglik")(*theta, y, 1e-4)
+        assert bad == -1 and ll == pytest.approx(scalar, rel=1e-14)
+        assert grad.shape == (len(theta),) and np.isfinite(grad).all()
+        assert log_likelihood_gradient([*theta[:-1], 0.0], law, _returns(y), 1e-4) == (
+            -math.inf,
+            None,
+        )
+
+    @pytest.mark.parametrize(
+        "model, bad",
+        [
+            (MODEL_NORMAL, "prior"),
+            (MODEL_RATIONAL, "prior"),
+            (MODEL_NORMAL, "variance"),
+            (MODEL_RATIONAL, "variance"),
+            # the variances underflow, and y^2 / sigma^2 overflows
+            (MODEL_NORMAL, "term"),
+            # a^2 overflows
+            (MODEL_RATIONAL, "term"),
+        ],
+    )
+    def test_rejected_point_is_minus_inf_and_the_line_search_steps_short(
+        self, model, bad
+    ):
+        target = _gradient_target(model, 249, Prior(upper={"alpha": 0.5}))
+        (mode, _, _), _ = _start(target, 10.0)
+        x_bad = mode.copy()
+        if bad == "prior":
+            x_bad[1] = math.log(0.6)
+        elif bad == "variance":
+            # omega = 8e307: the variances reach 1.5e308, then overflow
+            x_bad[0] = 709.0
+        elif model == MODEL_NORMAL:
+            x_bad[:3] = -740.0
+        else:
+            x_bad[3] = 400.0
+        func, seen = _descent(target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = np.exp(x_bad)
+            y = target.returns.values
+            _, bad_variance = recursions_python.garch_recursion(
+                *theta[:3].tolist(), y, target.init_variance
+            )
+            assert (bad_variance >= 0) == (bad == "variance")
+            assert func(x_bad) == (math.inf, None)
+            # from just short of the mode on the far side, the trial step
+            # lands on the rejected point
+            away = (x_bad - mode) / np.linalg.norm(x_bad - mode)
+            x = mode - 0.01 * away
+            f, g = func(x)
+            seen.clear()
+            step, trials, edge = _wolfe_step(func, x, f, g, x_bad - x, 1.0)
+        assert seen[0] == -math.inf
+        assert step is not None and not edge and trials > 1
+        assert step[1] < f and np.isfinite(step[2]).all()

@@ -36,16 +36,16 @@ from regarch.mcmc import (
     format_uncertainty,
     integrated_autocorr_time,
     mh_step,
+    _Box,
     _LogTarget,
     _laplace_scale,
-    _nelder_mead,
     _start,
     _start_point,
     run_chain,
     run_chains,
 )
 from regarch.simulate import simulate_garch
-from reference import log_posterior, prior_log_density
+from reference import log_posterior, nelder_mead, prior_log_density
 
 
 def _returns(values, start=date(2006, 1, 2)):
@@ -253,6 +253,14 @@ class TestAcf:
         ]
         np.testing.assert_allclose(r, direct, rtol=1e-10, atol=1e-12)
 
+    def test_power_spectrum_in_place_keeps_the_bits(self):
+        x = np.random.default_rng(5).standard_normal(3001)
+        centred = x - x.mean()
+        m = 1 << (2 * x.shape[0] - 1).bit_length()
+        f = np.fft.rfft(centred, m)
+        autocov = np.fft.irfft(f * np.conj(f), m)[:501] / x.shape[0]
+        np.testing.assert_array_equal(acf(x, 500), autocov / autocov[0])
+
     def test_lag_zero_is_one(self):
         r = acf(np.arange(50, dtype=float), 5)
         assert r[0] == pytest.approx(1.0)
@@ -428,7 +436,7 @@ class TestRunChain:
         # a refit of the d-dimensional proposal needs d + 2 draws
         _, returns = _synthetic_returns(n=200)
         searched = []
-        monkeypatch.setattr(mcmc, "_nelder_mead", lambda *args, **kwargs: searched.append(1))
+        monkeypatch.setattr(mcmc, "_bfgs", lambda *args, **kwargs: searched.append(1))
         config = ChainConfig(burn_in=600, samples=500, adapt_interval=interval)
         with pytest.raises(ValidationError, match=f"at least {interval + 1} for {model}"):
             run(model, returns, config)
@@ -444,10 +452,10 @@ class TestRunChain:
     def test_start_scored_once_after_the_search(self, monkeypatch):
         _, returns = _synthetic_returns(n=200)
         searched, rows = [], []
-        score = _LogTarget.score
+        score, search = _LogTarget.score, mcmc._bfgs
 
         def counted_search(*args, **kwargs):
-            result = _nelder_mead(*args, **kwargs)
+            result = search(*args, **kwargs)
             searched.append(1)
             return result
 
@@ -456,7 +464,7 @@ class TestRunChain:
                 rows.append(xs.shape[0])
             return score(self, xs)
 
-        monkeypatch.setattr(mcmc, "_nelder_mead", counted_search)
+        monkeypatch.setattr(mcmc, "_bfgs", counted_search)
         monkeypatch.setattr(_LogTarget, "score", counted_score)
         run_chain(MODEL_NORMAL, returns, ChainConfig(burn_in=600, samples=500))
         # the start state; the Hessian points and the MH blocks are many rows
@@ -600,14 +608,15 @@ _NM_OPTIONS = {"xatol": 1e-6, "fatol": 1e-8}
 
 def _assert_same_minimize(func, x0, maxiter):
     ref = minimize(func, x0, method="Nelder-Mead", options={"maxiter": maxiter, **_NM_OPTIONS})
-    x, fun, nfev, nit = _nelder_mead(func, x0, maxiter=maxiter, **_NM_OPTIONS)
+    x, fun, nfev, nit = nelder_mead(func, x0, maxiter=maxiter, **_NM_OPTIONS)
     np.testing.assert_array_equal(x, ref.x)
     assert (fun, nfev, nit) == (ref.fun, ref.nfev, ref.nit)
     return nit
 
 
 class TestNelderMead:
-    """The port against ``scipy.optimize.minimize``, bit for bit."""
+    """The reference search, ``reference.nelder_mead``, against
+    ``scipy.optimize.minimize``, bit for bit."""
 
     def test_random_smooth_targets(self):
         rng = np.random.default_rng(4)
@@ -653,6 +662,88 @@ class TestNelderMead:
         target = _LogTarget(model, returns, Prior())
         x0 = _start_point(returns, law)
         _assert_same_minimize(lambda x: -target(x), x0, 500 * x0.shape[0])
+
+
+_SEARCH_TRUTH = GarchParams(1.3e-5, 0.148, 0.836, law=RATIONAL, a=1.57)
+
+
+def _search_target(model, n, seed):
+    returns, _ = simulate_garch(_SEARCH_TRUTH, n, np.random.default_rng(seed))
+    return _LogTarget(model, returns, Prior())
+
+
+def _reference_start(target):
+    """The start by the reference search: Nelder-Mead on minus the log
+    target, with the options the library used before BFGS."""
+    x0 = _start_point(target.returns, target.law)
+    return nelder_mead(lambda x: -target(x), x0, maxiter=500 * x0.shape[0], **_NM_OPTIONS)[0]
+
+
+class TestStartSearch:
+    """BFGS on the gradient kernel against the reference Nelder-Mead."""
+
+    @pytest.mark.parametrize(
+        "model, n, seed",
+        [
+            (model, n, seed)
+            for model in (MODEL_NORMAL, MODEL_RATIONAL)
+            for n in (249, 1499)
+            for seed in (1001, 1002, 1003)
+        ]
+        # short series whose chains finish silently far out along the ridge
+        # start from a proper mode
+        + [(MODEL_RATIONAL, 30, 1005), (MODEL_RATIONAL, 40, 1004), (MODEL_RATIONAL, 100, 1000)],
+    )
+    def test_end_point_matches_the_reference(self, model, n, seed):
+        target = _search_target(model, n, seed)
+        (x, lt, _), proposal = _start(target, 10.0)
+        x_ref = _reference_start(target)
+        sd = np.sqrt(np.diag(proposal.covariance()))
+        # well inside 0.01 posterior sd; the searches agree to about 2e-6
+        assert np.abs(x - x_ref).max() < 1e-3 * sd.min()
+        assert lt >= target(x_ref) - 1e-9
+
+    @pytest.mark.parametrize(
+        "model, prior",
+        [
+            (MODEL_NORMAL, Prior(upper={"alpha": 0.2, "beta": 0.85})),
+            (MODEL_RATIONAL, Prior(lower={"a": 1.3}, upper={"beta": 0.85})),
+            (MODEL_RATIONAL, Prior(lower={"alpha": 0.05}, upper={"beta": 0.9, "a": 3.0})),
+        ],
+    )
+    def test_prior_box_is_no_wall(self, model, prior):
+        # the mode is inside the box; searched on the log coordinates, the
+        # second case stopped at the beta = 0.85 wall after two iterations
+        params = GarchParams(5e-5, 0.1, 0.8, law=RATIONAL, a=1.57)
+        returns, _ = simulate_garch(params, 300, np.random.default_rng(8))
+        target = _LogTarget(model, returns, prior)
+        (x, _, _), proposal = _start(target, 10.0)
+        sd = np.sqrt(np.diag(proposal.covariance()))
+        assert np.abs(x - _reference_start(target)).max() < 1e-3 * sd.min()
+
+    def test_box_coordinates(self):
+        names = ("omega", "alpha", "beta", "a")
+        box = _Box(Prior(lower={"omega": 1e-6, "a": 1.3}, upper={"beta": 0.85, "a": 40.0}), names)
+        z = np.array([0.3, -1.0, 0.7, -0.4])
+        x, slope = box.x(z)
+        np.testing.assert_allclose(box.z(x), z, rtol=1e-12)
+        theta = np.exp(x)
+        assert theta[0] > 1e-6 and theta[2] < 0.85 and 1.3 < theta[3] < 40.0
+        h = 1e-6
+        np.testing.assert_allclose(slope, (box.x(z + h)[0] - box.x(z - h)[0]) / (2 * h), rtol=1e-8)
+        # no bound set: the search runs on x itself
+        free = _Box(Prior(), names)
+        assert free.x(z)[0].tolist() == z.tolist() and free.z(z).tolist() == z.tolist()
+        assert free.x(z)[1].tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("n, seed", [(30, 1002), (40, 1000)])
+    def test_ridge_is_caught_at_the_search(self, n, seed, monkeypatch):
+        target = _search_target(MODEL_RATIONAL, n, seed)
+        monkeypatch.setattr(mcmc, "_laplace_scale", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="garch-re: the start search found no mode.*improper ridge"):
+                _start(target, 10.0)
 
 
 def _laplace_scale_per_point(target, x, nu):
@@ -764,12 +855,13 @@ class TestRunChains:
     def test_one_start_search_for_all_replicas(self, monkeypatch):
         _, returns = _synthetic_returns(n=200)
         calls = []
+        search = mcmc._bfgs
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return _nelder_mead(*args, **kwargs)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(mcmc, "_nelder_mead", counted)
+        monkeypatch.setattr(mcmc, "_bfgs", counted)
         run_chains(MODEL_NORMAL, returns, ChainConfig(burn_in=600, samples=500), n_chains=3)
         assert len(calls) == 1
 

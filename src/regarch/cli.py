@@ -96,6 +96,16 @@ def _delta_list(text):
     return deltas
 
 
+def _seed(text):
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r} (want an integer >= 0)")
+    return seed
+
+
 def _iso_date(text):
     try:
         return date.fromisoformat(text)
@@ -132,7 +142,7 @@ def _add_delta_list(sub):
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="master RNG seed")
     sub.add_argument("--out-dir", default=".", help="directory for artifacts")
 
 

@@ -193,7 +193,7 @@ def log_likelihoods(thetas, law, returns, init_variance=None):
     variance or likelihood term outside the finite range) scores -inf.  One
     row runs the scalar kernel, whose float-loop recursion is several times
     faster for a single point than a block pass; more rows run the block
-    kernels.
+    kernel.
     """
     init = _resolve_init(returns, init_variance)
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -206,8 +206,9 @@ def log_likelihoods(thetas, law, returns, init_variance=None):
             if bad < 0:
                 out[0] = ll
         return out
-    block = getattr(_kernels, f"{law}_loglik_block")
-    out[valid] = block(*np.ascontiguousarray(thetas[valid].T), values, init)
+    out[valid] = _kernels.loglik_block(
+        law, np.ascontiguousarray(thetas[valid].T), values, init
+    )
     return out
 
 
@@ -223,4 +224,4 @@ def log_likelihood_gradient(theta, law, returns, init_variance=None):
     if not (np.isfinite(theta) & (theta > 0.0)).all():
         return -math.inf, None
     values = np.ascontiguousarray(returns.values, dtype=np.float64)
-    return getattr(_kernels, f"{law}_loglik_grad")(*theta.tolist(), values, init)
+    return _kernels.loglik_grad(law, theta.tolist(), values, init)

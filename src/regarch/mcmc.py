@@ -305,6 +305,8 @@ class ChainConfig:
             raise ValidationError("burn_in must cover at least one adaptation")
         if not (math.isfinite(self.nu) and self.nu > 2.0):
             raise ValidationError("proposal dof must be finite and exceed 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
 
     def public_dict(self):
         d = {

@@ -1,11 +1,14 @@
 """The variance-recursion and likelihood kernels of :mod:`regarch.garch`.
 
 Each error law's likelihood terms are written once, as an in-place function
-(``_normal_terms_into``, ``_rational_terms_into``) that the scalar and the
-block kernels share.  The scalar kernels run the variance recursion as a
-plain float loop and the terms over the whole path, summed pairwise by
-``ndarray.sum``.  :func:`regarch.garch.log_likelihoods` runs the scalar
-kernel for one point and the block kernels for more.
+(``_normal_terms_into``, ``_rational_terms_into``) that every kernel shares,
+and ``_LAWS`` maps each law's name to its terms and their slopes.  Each law
+has its own scalar kernel (``normal_loglik``, ``rational_loglik``), which
+runs the variance recursion as a plain float loop and the terms over the
+whole path, summed pairwise by ``ndarray.sum``.  The block kernel
+(:func:`loglik_block`) and the gradient kernel (:func:`loglik_grad`) take
+the law's name.  :func:`regarch.garch.log_likelihoods` runs the scalar
+kernel for one point and the block kernel for more.
 
 Both kernels use one bad-point rule: the first non-finite term is the first
 bad event.  A variance outside (0, inf) makes its own term non-finite (the
@@ -13,7 +16,7 @@ log of a non-positive or infinite variance, or 0/0), so neither kernel
 checks the variances separately.  The scalar kernel reports the index of that
 term, and a block row with one scores -inf.
 
-The block kernels score many parameter points at once.  The recursion runs
+The block kernel scores many parameter points at once.  The recursion runs
 time-major over all the points of a pass, vectorised across them, one leaf
 of time steps at a time, and each leaf's terms are computed in place on
 buffers reused across leaves.  Each row is still bit for bit the scalar
@@ -22,23 +25,23 @@ order (Higham, SIAM J. Sci. Comput. 14(4), 1993): a range longer than 128
 elements splits at half its length, rounded down to a multiple of 8; a leaf
 of 8 or more elements is summed by eight interleaved accumulators, combined
 as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and then the remainder in
-order; a shorter leaf is a running sum.  The block kernels sum each leaf
-column by column in that order and combine the leaf sums in that tree.  A
+order; a shorter leaf is a running sum.  The block kernel sums each leaf
+column by column in that order and combines the leaf sums in that tree.  A
 NumPy release that changed its reduction would break the equality, and the
 differential tests, which compare block rows with the scalar kernel at
 lengths on both sides of each leaf and split boundary, would catch it.
 
-The gradient kernels (``normal_loglik_grad``, ``rational_loglik_grad``)
-give the log-likelihood at one point and its gradient, for the start-point
-search.  Each law's slopes (``_normal_slopes``, ``_rational_slopes``) give
-the derivative of every term in its variance, vectorised over t, and the
-sum of the derivatives in the law's own parameter.  The variance depends on
-(omega, alpha, beta) through the recursion, and the chain rule runs it
-backwards: one pass of the constant-beta filter h_k = u_k + beta h_{k-1}
-over the reversed variance slopes, then three dot products.  Both that pass
-and the variance path run the filter in closed form over chunks of
-``_CHUNK`` steps, which rounds differently from the float loop: the value
-agrees with the scalar kernel to rounding, not bit for bit.
+The gradient kernel gives the log-likelihood at one point and its
+gradient, for the start-point search.  Each law's slopes (``_normal_slopes``,
+``_rational_slopes``) give the derivative of every term in its variance,
+vectorised over t, and the sum of the derivatives in the law's own
+parameter.  The variance depends on (omega, alpha, beta) through the
+recursion, and the chain rule runs it backwards: one pass of the
+constant-beta filter h_k = u_k + beta h_{k-1} over the reversed variance
+slopes, then three dot products.  Both that pass and the variance path run
+the filter in closed form over chunks of ``_CHUNK`` steps, which rounds
+differently from the float loop: the value agrees with the scalar kernel to
+rounding, not bit for bit.
 """
 
 import math
@@ -133,6 +136,13 @@ def _rational_slopes(s, y2, a):
     return ds, (y2.shape[0] / a - 2.0 * a * ratio.sum(),)
 
 
+# each error law's in-place terms and term slopes, by law name
+_LAWS = {
+    "normal": (_normal_terms_into, _normal_slopes),
+    "rational": (_rational_terms_into, _rational_slopes),
+}
+
+
 def _beta_filter(u, beta, h0):
     """h[k] = u[k] + beta * h[k-1] with h[-1] = ``h0``, in closed form over
     chunks of ``_CHUNK`` steps: within a chunk h[i] = sum over j <= i of
@@ -153,10 +163,11 @@ def _beta_filter(u, beta, h0):
     return h.ravel()[:n]
 
 
-def _loglik_grad(params, returns, init_variance, terms_into, slopes):
-    """Log-likelihood at one point and its gradient in ``params``:
-    (loglik, gradient), or (-inf, None) where a term or a slope is not
-    finite."""
+def loglik_grad(law, params, returns, init_variance):
+    """Log-likelihood of ``law`` at the point ``params`` (omega, alpha, beta,
+    then the law's own) and its gradient in them: (loglik, gradient), or
+    (-inf, None) where a term or a slope is not finite."""
+    terms_into, slopes = _LAWS[law]
     omega, alpha, beta, *law_params = params
     n = returns.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -175,22 +186,6 @@ def _loglik_grad(params, returns, init_variance, terms_into, slopes):
     if not (math.isfinite(ll) and np.isfinite(grad).all()):
         return -math.inf, None
     return ll, grad
-
-
-def normal_loglik_grad(omega, alpha, beta, returns, init_variance):
-    """Gaussian log-likelihood and its gradient in (omega, alpha, beta);
-    (-inf, None) at a bad point."""
-    return _loglik_grad(
-        (omega, alpha, beta), returns, init_variance, _normal_terms_into, _normal_slopes
-    )
-
-
-def rational_loglik_grad(omega, alpha, beta, a, returns, init_variance):
-    """Rational-error log-likelihood and its gradient in
-    (omega, alpha, beta, a); (-inf, None) at a bad point."""
-    return _loglik_grad(
-        (omega, alpha, beta, a), returns, init_variance, _rational_terms_into, _rational_slopes
-    )
 
 
 def _loglik(params, returns, init_variance, terms_into):
@@ -278,9 +273,12 @@ def _loglik_pass(omega, alpha, beta, law_params, y2, init_variance, terms_into):
     return ll
 
 
-def _loglik_block(params, returns, init_variance, terms_into):
-    """Log-likelihood at each point, ``_BLOCK_ELEMENTS // (3 * _LEAF)``
+def loglik_block(law, params, returns, init_variance):
+    """Log-likelihood of ``law`` at each point of the parameter arrays
+    ``params`` (omega, alpha, beta, then the law's own), -inf where the
+    scalar kernel reports a bad index; ``_BLOCK_ELEMENTS // (3 * _LEAF)``
     points per pass."""
+    terms_into = _LAWS[law][0]
     out = np.empty(params[0].shape[0])
     rows = max(1, _BLOCK_ELEMENTS // (3 * _LEAF))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -291,19 +289,3 @@ def _loglik_block(params, returns, init_variance, terms_into):
                 omega, alpha, beta, law_params, y2, init_variance, terms_into
             )
     return out
-
-
-def normal_loglik_block(omega, alpha, beta, returns, init_variance):
-    """Gaussian log-likelihood at each point of the parameter arrays;
-    -inf where :func:`normal_loglik` reports a bad index."""
-    return _loglik_block(
-        (omega, alpha, beta), returns, init_variance, _normal_terms_into
-    )
-
-
-def rational_loglik_block(omega, alpha, beta, a, returns, init_variance):
-    """Rational-error log-likelihood at each point of the parameter arrays;
-    -inf where :func:`rational_loglik` reports a bad index."""
-    return _loglik_block(
-        (omega, alpha, beta, a), returns, init_variance, _rational_terms_into
-    )

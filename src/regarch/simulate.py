@@ -115,8 +115,9 @@ class DiffusionSpec:
             raise DomainError("give exactly one of day_variances and garch")
         if not 0.0 <= self.overnight_fraction < 1.0:
             raise DomainError("overnight_fraction must lie in [0, 1)")
-        if self.start_price <= 0.0:
-            raise DomainError("start_price must be positive")
+        # a NaN fails every comparison, so test for a number in (0, inf)
+        if not 0.0 < self.start_price < math.inf:
+            raise DomainError("start_price must be positive and finite")
         if self.day_variances is not None:
             v = np.asarray(self.day_variances, dtype=np.float64)
             if not np.isfinite(v).all() or (v < 0).any():

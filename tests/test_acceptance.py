@@ -1,9 +1,10 @@
 """Acceptance gate: statistical and reproducibility criteria, end to end.
 
 The heavy fixtures (full-length chains, thousand-day markets) are session
-scoped and shared across criteria; the whole module takes a few minutes
-on one core.  Every experiment is seeded, so each criterion is a
-deterministic pass/fail.
+scoped and shared across criteria; a forked child draws half of
+``recovery_batch``'s chains, and the whole module takes about 40 s on two
+cores.  Every experiment is seeded, so each criterion is a deterministic
+pass/fail.
 """
 
 import math
@@ -15,6 +16,7 @@ from scipy import integrate, stats
 
 from regarch import cli, rational
 from regarch.data import ReturnSeries, SessionCalendar, daily_log_returns
+from regarch.forked import Child
 from regarch.garch import (
     NORMAL,
     RATIONAL,
@@ -26,8 +28,10 @@ from regarch.mcmc import (
     MODEL_NORMAL,
     MODEL_RATIONAL,
     ChainConfig,
+    draw_chain,
     integrated_autocorr_time,
     run_chain,
+    summarize,
 )
 from regarch.realized import (
     NoiseModel,
@@ -48,6 +52,18 @@ _TRUTH_RE = GarchParams(1.3e-5, 0.148, 0.836, RATIONAL, a=1.57)
 _REPS = 10
 
 
+def _draw_in_child(send, jobs):
+    """The forked child of ``recovery_batch``: draw each job's chain, then
+    send each one's draws as ``cli._worker_main`` does.  Every chain is
+    drawn before the first frame: a child sending as it goes would block on
+    the pipe while the parent draws its own."""
+    frames = []
+    for job in jobs:
+        cli._worker_main(frames.append, *job)
+    for frame in frames:
+        send(frame)
+
+
 @pytest.fixture(scope="session")
 def recovery_batch():
     """Ten replications: matched-law fits on both laws plus a cross fit.
@@ -57,21 +73,38 @@ def recovery_batch():
     (data seed 200+i) fitted with the rational model (9100+i) and with
     the normal model (9200+i) for the selection criterion.  Default chain
     settings throughout (burn-in 6000, 50000 samples).
+
+    A forked child draws the odd replications' chains while this process
+    draws the even ones (all of them where there is no child); every chain
+    is summarised here, in replication order, so its log records and
+    warnings come as they would from one chain after another.
     """
-    reps = []
+    jobs = []
     for i in range(_REPS):
         data_n, _ = simulate_garch(_TRUTH_N, 3000, np.random.default_rng(100 + i))
         data_re, _ = simulate_garch(_TRUTH_RE, 3000, np.random.default_rng(200 + i))
-        reps.append(
-            {
-                "normal": run_chain(MODEL_NORMAL, data_n, ChainConfig(seed=9000 + i)),
-                "rational": run_chain(
-                    MODEL_RATIONAL, data_re, ChainConfig(seed=9100 + i)
-                ),
-                "cross": run_chain(MODEL_NORMAL, data_re, ChainConfig(seed=9200 + i)),
-            }
+        jobs.append(
+            [
+                (MODEL_NORMAL, data_n, ChainConfig(seed=9000 + i)),
+                (MODEL_RATIONAL, data_re, ChainConfig(seed=9100 + i)),
+                (MODEL_NORMAL, data_re, ChainConfig(seed=9200 + i)),
+            ]
         )
-    return reps
+    child = Child(_draw_in_child, [job for rep in jobs[1::2] for job in rep])
+    try:
+        drawn = [
+            None if i % 2 and child.pid else [draw_chain(*job) for job in rep]
+            for i, rep in enumerate(jobs)
+        ]
+        reps = []
+        for rep, draws in zip(jobs, drawn):
+            if draws is None:
+                draws = [cli._received(model, child) for model, _, _ in rep]
+            chains = [summarize(d, returns) for d, (_, returns, _) in zip(draws, rep)]
+            reps.append(dict(zip(("normal", "rational", "cross"), chains)))
+        return reps
+    finally:
+        child.close()
 
 
 def _recoveries(chains, truth):
@@ -228,17 +261,15 @@ def market_scores():
         )
         sim = simulate_intraday(spec, 1000, np.random.default_rng(seed), _TOKYO)
         returns = daily_log_returns(sim.daily_prices)
+        # the c-adjusted RV per period, which every model is scored against
+        rvs = (rv_from_ticks(sim.ticks, _TOKYO, delta) for delta in _DELTAS)
+        adjusted = [rv.with_hl(hl_factor(returns, rv)) for rv in rvs]
         per_model = {}
         for model in (MODEL_NORMAL, MODEL_RATIONAL):
             chain = run_chain(model, returns, ChainConfig(seed=seed + 100))
             vols = volatility_recursion(chain.params_at_mean(), returns)
             scaled = scale_to_daily_variance(vols, returns)
-            errs = []
-            for delta in _DELTAS:
-                rv = rv_from_ticks(sim.ticks, _TOKYO, delta)
-                adjusted = rv.with_hl(hl_factor(returns, rv))
-                errs.append(rmspe(scaled, adjusted))
-            per_model[model] = np.array(errs)
+            per_model[model] = np.array([rmspe(scaled, rv) for rv in adjusted])
         curves.append(per_model)
     return curves
 

@@ -95,6 +95,36 @@ class TestParsing:
     def test_bad_start_date(self, capsys):
         assert cli.main(["simulate", "--start-date", "01/02/2006"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--model", "garch-n", "--data", "x.csv"],
+            ["compare", "--data", "x.csv"],
+            ["rv", "--ticks", "x.csv"],
+            ["rmspe", "--data", "x.csv", "--ticks", "x.csv"],
+            ["rmspe", "--data", "x.csv", "--ticks", "x.csv", "--rv-as-vols"],
+            ["simulate", "--days", "5"],
+        ],
+        ids=["fit", "compare", "rv", "rmspe", "rmspe-rv-as-vols", "simulate"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_exits_2(self, argv, seed, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--seed", seed, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad seed {seed!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("price", ["inf", "nan"])
+    def test_non_finite_start_price_exits_2(self, price, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["simulate", "--days", "5", "--start-price", price, "--out-dir", str(out)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: start_price must be positive and finite\n"
+        assert not out.exists()
+
     def test_missing_required_flag(self, capsys):
         assert cli.main(["fit", "--data", "x.csv"]) == 2  # no --model
 

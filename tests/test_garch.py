@@ -13,6 +13,7 @@ from regarch.data import ReturnSeries
 from regarch.exceptions import DomainError, NumericalError
 from regarch.garch import (
     NORMAL,
+    PARAM_NAMES,
     RATIONAL,
     GarchParams,
     VolSeries,
@@ -495,13 +496,16 @@ class TestGradientKernel:
             assert ll == pytest.approx(ref_ll, rel=1e-12)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-9)
 
-    @pytest.mark.parametrize("law", [NORMAL, RATIONAL])
+    # every law: one without a kernel table entry fails here
+    @pytest.mark.parametrize("law", list(PARAM_NAMES))
     def test_kernel_contract(self, law):
         y = np.array([0.01, -0.02, 0.015, 0.003])
-        theta = [1e-5, 0.1, 0.8, 1.57][: 3 + (law == RATIONAL)]
-        ll, grad = getattr(recursions_python, f"{law}_loglik_grad")(*theta, y, 1e-4)
+        theta = [1e-5, 0.1, 0.8, 1.57][: len(PARAM_NAMES[law])]
+        ll, grad = recursions_python.loglik_grad(law, theta, y, 1e-4)
         scalar, bad = getattr(recursions_python, f"{law}_loglik")(*theta, y, 1e-4)
         assert bad == -1 and ll == pytest.approx(scalar, rel=1e-14)
+        block = recursions_python.loglik_block(law, np.array(theta)[:, None], y, 1e-4)
+        assert block.tolist() == [scalar]
         assert grad.shape == (len(theta),) and np.isfinite(grad).all()
         assert log_likelihood_gradient([*theta[:-1], 0.0], law, _returns(y), 1e-4) == (
             -math.inf,

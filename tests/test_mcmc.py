@@ -344,6 +344,7 @@ class TestChainConfig:
             {"nu": 2.0},
             {"nu": math.inf},
             {"nu": math.nan},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):

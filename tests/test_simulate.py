@@ -110,6 +110,11 @@ class TestDiffusionSpec:
         with pytest.raises(DomainError, match="start_price"):
             DiffusionSpec(day_variances=1e-4, start_price=0.0)
 
+    @pytest.mark.parametrize("price", [math.inf, math.nan])
+    def test_start_price_finite(self, price):
+        with pytest.raises(DomainError, match="start_price must be positive and finite"):
+            DiffusionSpec(day_variances=1e-4, start_price=price)
+
     def test_negative_day_variance(self):
         with pytest.raises(DomainError, match="day variances"):
             DiffusionSpec(day_variances=[1e-4, -1e-4])

@@ -14,8 +14,8 @@ outputs are deterministic bytes for fixed inputs, flags, and seed.
 
 ``compare`` and ``rmspe`` fit their two models at once: the second draws
 its chain in a forked :class:`~regarch.forked.Child`, which sends back its
-draws or its error and writes nothing; the command summarises the draws,
-so every log record and warning is its own (see :func:`_fit`).
+draws and error as one object and writes nothing; the command summarises
+the draws, so every log record and warning is its own (see :func:`_fit`).
 
 Exit codes: 0 success, 1 numerical or adaptation failure (or a forked fit
 that ended without a result), 2 usage or input error.
@@ -26,9 +26,9 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import pickle
 import sys
 import traceback
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -56,7 +56,7 @@ from .exceptions import (
     WorkerError,
 )
 from .forked import Child
-from .garch import PARAM_NAMES, GarchParams, VolSeries, volatility_recursion
+from .garch import PARAM_NAMES, GarchParams, volatility_recursion
 from .mcmc import (
     MODEL_NORMAL,
     MODEL_RATIONAL,
@@ -365,15 +365,12 @@ def _fit(args, returns, models):
 
 def _received(model, child):
     """The draws ``child`` sent back for ``model``, or the child's error."""
-    frames = iter(child.receive, None)
-    try:
-        # the arrays are built over the writeable frames that follow
-        draws, error = pickle.loads(next(frames), buffers=frames)
-    except (StopIteration, pickle.UnpicklingError):
+    message = child.receive()
+    if message is None:
         raise WorkerError(
-            f"{model}: the forked fit ended (exit code {child.close()}) "
-            "without a result"
-        ) from None
+            f"{model}: the forked fit ended (exit code {child.close()}) without a result"
+        )
+    draws, error = message
     if error is not None:
         raise error
     return draws
@@ -381,9 +378,7 @@ def _received(model, child):
 
 def _worker_main(send, model, returns, config):
     """The forked child: draw ``model``'s chain, which logs and warns
-    nothing, and send (draws, error): one frame of pickle, then each
-    array's memory as a frame of its own, which is sent without being
-    copied."""
+    nothing, and send (draws, error) as one message."""
     draws = error = None
     try:
         draws = draw_chain(model, returns, config)
@@ -392,10 +387,7 @@ def _worker_main(send, model, returns, config):
         notes = getattr(exc, "__notes__", [])
         exc.__notes__ = [*notes, "".join(traceback.format_tb(exc.__traceback__))]
         error = exc
-    arrays = []
-    send(pickle.dumps((draws, error), protocol=5, buffer_callback=arrays.append))
-    for array in arrays:
-        send(array.raw())
+    send((draws, error))
 
 
 def _export_chain(chain, out, invocation):
@@ -505,9 +497,9 @@ def cmd_rmspe(args):
 
     rows = []
     for adjusted in hl_adjusted_rv(ticks, calendar, args.delta_list, returns):
-        # with no fits, each period's c-adjusted RV forecasts itself
+        # with no fits, each period's c-adjusted RV forecasts itself (rmspe refuses a zero)
         forecasts = list(scaled.values()) or [
-            VolSeries(adjusted.dates, adjusted.c_adjusted())
+            replace(adjusted, values=adjusted.c_adjusted(), hl_factor=None)
         ]
         errors = [
             rmspe(f, adjusted, mean_normalized=not args.paper_literal_rmspe)
@@ -587,6 +579,11 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # refused before any work, and nothing made: a failed run leaves no directory
+        out = Path(args.out_dir)
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"--out-dir {out}: {existing} is not a directory")
         return args.func(args)
     except (NumericalError, AdaptationFailureError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)

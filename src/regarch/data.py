@@ -503,7 +503,7 @@ _TICK_HEADER = ("timestamp", "price")
 # chunks were no faster and raised the command's peak RSS by 2.6 MB.
 _PARSE_CHUNK_CHARS = 1 << 16
 # load_ticks forks for a file whose body is this many chunks or more: the
-# fork and the two frames back cost about 2 ms
+# fork and the two arrays sent back cost about 2 ms
 _TICK_FORK_CHUNKS = 4
 
 _DATE_DIGIT_COLUMNS = [0, 1, 2, 3, 5, 6, 8, 9]
@@ -715,8 +715,8 @@ def _tick_split(source, stream, header_size):
 def _send_tick_half(send, path, offset):
     """The forked child of :func:`load_ticks`: convert the lines of ``path``
     from byte ``offset`` on column by column, then send their times (as
-    int64) and prices as two frames; nothing if a chunk needs the row
-    parser."""
+    int64, which pickles out of band) and then their prices; nothing if a
+    chunk needs the row parser."""
     times, prices = [], []
     with open(path, "r", newline="", encoding="utf-8") as stream:
         stream.seek(offset)
@@ -726,22 +726,20 @@ def _send_tick_half(send, path, offset):
                 return
             times.append(chunk[0])
             prices.append(chunk[1])
-    # the whole half is converted before the first frame: a child sending
-    # as it goes would block on the pipe until this process had parsed its own
+    # sent whole once converted, as sending as it goes would block on the pipe,
+    # and one column at a time, so that one joined column is held at a time
     send(np.concatenate(times).view(np.int64))
     send(np.concatenate(prices))
 
 
 def _take_half(child, times, prices):
     """Append the times and prices :func:`_send_tick_half` sent onto
-    ``times`` and ``prices``, as arrays over its frames; whether it sent
-    both."""
+    ``times`` and ``prices``; whether it sent both."""
     sent_times, sent_prices = child.receive(), child.receive()
-    if sent_prices is None:
-        return False
-    times.append(np.frombuffer(sent_times, dtype=np.int64).view("datetime64[us]"))
-    prices.append(np.frombuffer(sent_prices))
-    return True
+    if sent_prices is not None:
+        times.append(sent_times.view("datetime64[us]"))
+        prices.append(sent_prices)
+    return sent_prices is not None
 
 
 def daily_log_returns(prices):
@@ -904,7 +902,7 @@ def write_csv(target, header, columns, comments=()):
     tick file of ``simulate``, or the chain files of a long ``compare``) is
     formatted on two cores: a :class:`~regarch.forked.Child` started
     before the first chunk formats every other chunk with the same function
-    and sends each back as one frame, and this process writes all of them
+    and sends each back as one message, and this process writes all of them
     in file order.  The bytes are those of one process: where there is no
     child (``os.fork`` does not exist or fails), or from the chunk at which
     the child stopped short, this process formats the chunks itself.  No
@@ -922,9 +920,8 @@ def write_csv(target, header, columns, comments=()):
         child = Child(_send_chunks, columns, starts[1::2]) if fork else None
         try:
             for k, lo in enumerate(starts):
-                body = child.receive() if child and k % 2 else None
-                text = _csv_rows(columns, lo) if body is None else body.decode("utf-8")
-                stream.write(text)
+                text = child.receive() if child and k % 2 else None
+                stream.write(_csv_rows(columns, lo) if text is None else text)
         finally:
             if child:
                 child.close()
@@ -933,7 +930,7 @@ def write_csv(target, header, columns, comments=()):
 def _send_chunks(send, columns, starts):
     """The forked child of :func:`write_csv`: send the chunks at ``starts``."""
     for lo in starts:
-        send(_csv_rows(columns, lo).encode("utf-8"))
+        send(_csv_rows(columns, lo))
 
 
 def write_json(target, payload):

@@ -347,21 +347,18 @@ class ChainDraws:
 
 
 @dataclass
-class PosteriorChain:
-    """Retained MH samples for one model on one return series."""
+class PosteriorChain(ChainDraws):
+    """A chain's draws and their summary on the series they were drawn on."""
 
-    model: str
-    param_names: tuple
     samples: np.ndarray  # natural parameter space, (n, d)
-    samples_log: np.ndarray  # log coordinates, same shape
-    log_posteriors: np.ndarray
-    log_likelihoods: np.ndarray
-    acceptance_rate: float
     summaries: list
     lnl_at_mean: float
-    config: ChainConfig
     n_obs: int
     data_digest: str
+
+    @property
+    def param_names(self):
+        return PARAM_NAMES[model_law(self.model)]
 
     def mean(self):
         return self.samples.mean(axis=0)
@@ -450,8 +447,8 @@ def _laplace_scale(target, x, f0, nu):
 class _LogTarget:
     """Log target of ``model`` in log coordinates: log prior + log-likelihood
     + the Jacobian of theta = exp(x), -inf wherever the target rejects.  An
-    unknown model or a series of under 30 returns is refused here, where
-    every chain starts.
+    unknown model, a series of under 30 returns and one with no variance
+    are refused here, where every chain starts.
 
     :meth:`score` scores a block of points at once; a call scores one point
     as a one-row block, which ``log_likelihoods`` runs on the scalar kernel,
@@ -466,11 +463,13 @@ class _LogTarget:
             raise InsufficientDataError(
                 f"{len(returns)} returns are too few to estimate a volatility model"
             )
+        self.init_variance = returns.sample_variance()
+        if not self.init_variance > 0.0:  # flat prices, refused before a log of 0 warns
+            raise DomainError(f"initial variance must be positive, got {self.init_variance!r}")
         self.model = model
         self.returns = returns
         self.names = PARAM_NAMES[self.law]
         self.prior = prior
-        self.init_variance = returns.sample_variance()
 
     def __call__(self, x):
         return float(self.score(x[None])[0][0])
@@ -774,16 +773,10 @@ def summarize(draws, returns):
         lnl_at_mean,
     )
     return PosteriorChain(
-        model=draws.model,
-        param_names=PARAM_NAMES[law],
+        **vars(draws),
         samples=samples,
-        samples_log=draws.samples_log,
-        log_posteriors=draws.log_posteriors,
-        log_likelihoods=draws.log_likelihoods,
-        acceptance_rate=draws.acceptance_rate,
         summaries=summaries,
         lnl_at_mean=lnl_at_mean,
-        config=draws.config,
         n_obs=len(returns),
         data_digest=data_digest(returns),
     )

@@ -1,8 +1,10 @@
+import io
 import os
 
 import numpy as np
 import pytest
 
+from regarch.forked import _send
 from regarch.garch import GarchParams
 from regarch.mcmc import MODEL_NORMAL, ChainConfig, run_chain
 from regarch.simulate import simulate_garch
@@ -22,3 +24,16 @@ def _no_child_left():
     """This process has no child left to reap."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _frames(message):
+    """The frames of ``message`` as a forked child sends it, each with its
+    8-byte size (from the sender bound here, which a test may replace)."""
+    sent = io.BytesIO()
+    _send(sent, message)
+    data, frames = sent.getvalue(), []
+    while data:
+        end = 8 + int.from_bytes(data[:8], "little")
+        frames.append(data[:end])
+        data = data[end:]
+    return frames

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from datetime import date, timedelta
 from unittest import mock
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import regarch
-from regarch import cli, data, mcmc
+from regarch import cli, data, mcmc, selection
 from regarch.data import daily_log_returns, load_daily_prices
 from regarch.exceptions import NumericalError, ParseError
 from regarch.garch import RATIONAL, GarchParams
@@ -114,6 +115,41 @@ class TestParsing:
         err = capsys.readouterr().err
         assert f"bad seed {seed!r}" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--model", "garch-n", "--data", "x.csv"],
+            ["compare", "--data", "x.csv"],
+            ["rv", "--ticks", "x.csv"],
+            ["rmspe", "--data", "x.csv", "--ticks", "x.csv"],
+            ["rmspe", "--data", "x.csv", "--ticks", "x.csv", "--rv-as-vols"],
+            ["simulate", "--days", "5"],
+        ],
+        ids=["fit", "compare", "rv", "rmspe", "rmspe-rv-as-vols", "simulate"],
+    )
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_dir_through_a_file_exits_2_before_any_work(
+        self, argv, below, tmp_path, capsys
+    ):
+        # refused before any input is read or chain drawn; nothing is created
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" if below else afile
+        work = AssertionError("the command started its work")
+        with mock.patch.multiple(
+            cli,
+            _fit=mock.Mock(side_effect=work),
+            _load_returns=mock.Mock(side_effect=work),
+            load_ticks=mock.Mock(side_effect=work),
+            simulate_intraday=mock.Mock(side_effect=work),
+        ):
+            assert cli.main([*argv, "--out-dir", str(out)]) == 2
+            assert not cli._fit.called
+        assert capsys.readouterr().err == (
+            f"error: --out-dir {out}: {afile} is not a directory\n"
+        )
+        assert afile.read_text() == "kept"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("price", ["inf", "nan"])
@@ -454,6 +490,30 @@ class TestFit:
         assert cli.main(args) == 1
         assert "improper ridge" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_flat_prices_exit_2_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "const.csv"
+        days = [date(2006, 1, 2) + timedelta(days=i) for i in range(40)]
+        path.write_text("date,close\n" + "".join(f"{d},2500\n" for d in days))
+        args = ["fit", "--model", "garch-n", "--data", str(path)]
+        assert cli.main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: initial variance must be positive, got 0.0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_adaptation_failure_exits_1(self, market, tmp_path, capsys):
+        args = [
+            "fit", "--model", "garch-n", "--data", str(market / "daily.csv"),
+            "--out-dir", str(tmp_path / "out"),
+        ] + _FAST_CHAIN
+        with mock.patch.object(mcmc, "mh_step", return_value=False):
+            assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: acceptance rate 0.00% after adaptation; the proposal never "
+            "matched the posterior (data too short, or burn-in too small)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompare:
     def test_comparison_artifacts(self, market, tmp_path, capsys):
@@ -512,6 +572,23 @@ class TestCompare:
             "criteria agree: garch-re preferred by both\n"
             f"wrote {out / 'comparison.json'}\n"
         )
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_criteria_disagree(self, market, tmp_path, capsys):
+        # DIC made to prefer the model AIC does not
+        def disagreeing(first, second):
+            report = selection.compare(first, second)
+            other = {first.model, second.model} - {report.aic_preferred}
+            return replace(report, dic_preferred=other.pop())
+
+        out = tmp_path / "cmp"
+        args = ["compare", "--data", str(market / "daily.csv"), "--out-dir", str(out)]
+        with mock.patch.object(cli, "compare", side_effect=disagreeing):
+            assert cli.main(args + _FAST_CHAIN) == 0
+        stdout = capsys.readouterr().out
+        assert f"criteria disagree\nwrote {out / 'comparison.json'}\n" in stdout
+        assert "criteria agree" not in stdout
+        assert json.loads((out / "comparison.json").read_text())["criteria_agree"] is False
 
     @pytest.mark.parametrize("command", ["compare", "rmspe"])
     def test_short_adapt_interval_refused_before_either_chain(
@@ -758,6 +835,32 @@ class TestRmspe:
         assert cli.main(args) == 2
         assert "adapt_interval must be at least 6" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_zero_rv_day_exits_2_with_or_without_fits(self, tmp_path, capsys):
+        # one day of ticks at one price: the same input error whether the
+        # forecasts are the fits or the adjusted RV itself
+        market = tmp_path / "market"
+        sim = ["simulate", "--days", "60", "--steps-per-day", "78", "--seed", "3"]
+        assert cli.main([*sim, "--out-dir", str(market)]) == 0
+        ticks = market / "ticks.csv"
+        lines = ticks.read_text().splitlines(keepends=True)
+        day = [i for i, line in enumerate(lines) if line.startswith("2006-01-10")]
+        price = lines[day[0]].split(",")[1]
+        for i in day:
+            lines[i] = lines[i].split(",")[0] + "," + price
+        ticks.write_text("".join(lines))
+        capsys.readouterr()
+        errors = []
+        for flags in (["--rv-as-vols"], _FAST_CHAIN):
+            args = [
+                "rmspe", "--data", str(market / "daily.csv"), "--ticks", str(ticks),
+                "--delta-list", "900", "--out-dir", str(tmp_path / "out"), *flags,
+            ]
+            assert cli.main(args) == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors == ["error: adjusted RV is zero on 1 day(s): 2006-01-10"] * 2
+        assert not (tmp_path / "out").exists()
 
 
 # (arguments, run in the market directory; sha256 of each artifact)
@@ -1075,29 +1178,20 @@ class TestForkedWorker:
                 assert values.flags.writeable
         _no_child_left()
 
-    @pytest.mark.parametrize("arrays_sent", [0, 1])
-    def test_result_cut_short_is_a_typed_error(self, arrays_sent):
-        # a child that stops between the pickle and its two arrays has sent
-        # no result
-        class Frames:
-            def __init__(self, frames):
-                self.frames = iter(frames)
-
+    def test_no_message_is_a_typed_error(self):
+        # a child that exits before its whole message has sent no result
+        class Stopped:
             def receive(self):
-                return next(self.frames, None)
+                return None
 
             def close(self):
                 return 3
 
-        arrays = []
-        payload = ((np.arange(3.0), np.ones(2)), None)
-        body = pickle.dumps(payload, protocol=5, buffer_callback=arrays.append)
-        frames = [bytearray(array.raw()) for array in arrays]
-        assert len(frames) == 2
-        chain = cli._received("garch-re", Frames([body, *frames]))
-        assert chain[0].tolist() == [0.0, 1.0, 2.0] and chain[1].flags.writeable
-        with pytest.raises(cli.WorkerError, match="exit code 3"):
-            cli._received("garch-re", Frames([body, *frames[:arrays_sent]]))
+        with pytest.raises(cli.WorkerError) as error:
+            cli._received("garch-re", Stopped())
+        assert str(error.value) == (
+            "garch-re: the forked fit ended (exit code 3) without a result"
+        )
 
 
 class TestDrawStage:

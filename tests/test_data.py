@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from regarch import data
+from regarch import data, forked
 from regarch.data import (
     DailyPriceSeries,
     SessionCalendar,
@@ -32,7 +32,7 @@ from regarch.exceptions import (
     ValidationError,
 )
 from regarch.realized import rv_from_ticks
-from conftest import _no_child_left
+from conftest import _frames, _no_child_left
 from reference import grid_sessions
 
 
@@ -1037,14 +1037,21 @@ class TestSplitTickReader:
 
     @pytest.mark.parametrize("frames", [0, 1])
     def test_child_exiting_early(self, tmp_path, monkeypatch, frames):
-        # the child sends fewer than its two frames and exits; this process
-        # parses the whole body itself
-        def send_and_exit(send, path, offset):
-            for _ in range(frames):
-                send(np.zeros(3, dtype=np.int64))
+        # the child sends no complete message: it exits before its first
+        # frame, or after its first message's pickle but before that array's
+        # frame; this process parses the whole body itself
+        def pickle_frame_only(pipe, message):
+            pipe.write(_frames(message)[0])
+            pipe.flush()
             os._exit(3)
 
-        monkeypatch.setattr(data, "_send_tick_half", send_and_exit)
+        def exit_early(send, path, offset):
+            os._exit(3)
+
+        if frames:
+            monkeypatch.setattr(forked, "_send", pickle_frame_only)
+        else:
+            monkeypatch.setattr(data, "_send_tick_half", exit_early)
         path = self._write(tmp_path / "ticks.csv", _good_rows(40))
         (times, _), parsed = self._check(path, monkeypatch)
         assert len(times) == len(parsed) == 40

@@ -1,4 +1,5 @@
 import ast
+import io
 import os
 import signal
 import time
@@ -10,12 +11,12 @@ import pytest
 
 import regarch
 from regarch.forked import Child
-from conftest import _no_child_left
+from conftest import _frames, _no_child_left
 
 
-def _send_all(send, frames):
-    for frame in frames:
-        send(frame)
+def _send_all(send, messages):
+    for message in messages:
+        send(message)
 
 
 def _raise(send):
@@ -35,27 +36,44 @@ def _open_fds():
 
 class TestChild:
     def test_frames_round_trip_in_order(self):
-        # the 1 MiB frame is larger than the pipe's buffer
-        frames = [b"first", b"", bytes(range(256)) * 4096, b"last"]
-        child = Child(_send_all, frames)
-        assert [child.receive() for _ in frames] == frames
+        # the 1 MiB message is larger than the pipe's buffer
+        messages = [b"first", b"", bytes(range(256)) * 4096, ("last", None, 3)]
+        child = Child(_send_all, messages)
+        assert [child.receive() for _ in messages] == messages
         assert child.receive() is None
         assert child.close() == 0
         _no_child_left()
 
     def test_array_frames_arrive_writeable(self):
         # an array is sent from its own memory and read back into memory
-        # that an array made over it may write to
-        values = [np.arange(5), np.linspace(0.0, 1.0, 3)]
+        # that the received array may write to
+        values = [np.arange(5), (np.linspace(0.0, 1.0, 3), np.ones((2, 3)))]
         child = Child(_send_all, values)
-        for sent in values:
-            body = child.receive()
-            received = np.frombuffer(body, dtype=sent.dtype)
-            assert received.tolist() == sent.tolist()
-            assert received.flags.writeable
+        received = child.receive()
+        assert received.tolist() == values[0].tolist() and received.flags.writeable
+        pair = child.receive()
+        for sent, array in zip(values[1], pair):
+            assert array.tolist() == sent.tolist() and array.flags.writeable
         assert child.receive() is None
         assert child.close() == 0
         _no_child_left()
+
+    @pytest.mark.parametrize("arrays_sent", [0, 1])
+    def test_message_cut_short_reads_as_none(self, monkeypatch, arrays_sent):
+        # a child that stops between a message's pickle and its two array
+        # frames has sent no message; the frames are read from memory, so no
+        # process is needed
+        frames = _frames(((np.arange(3.0), np.ones(2)), None))
+        assert len(frames) == 3
+        monkeypatch.delattr(os, "fork")
+        child = Child(_send_all, [])
+        child.pipe = io.BytesIO(b"".join(frames))
+        arrays, error = child.receive()
+        assert arrays[0].tolist() == [0.0, 1.0, 2.0] and error is None
+        assert arrays[1].flags.writeable
+        child.pipe = io.BytesIO(b"".join(frames[: 1 + arrays_sent]))
+        assert child.receive() is None
+        assert child.receive() is None
 
     @pytest.mark.parametrize("fork", ["missing", "failing"])
     def test_no_child_without_a_fork(self, monkeypatch, fork):
@@ -106,3 +124,19 @@ def test_forked_is_the_only_fork_site():
                 if _PROCESS_CALLS & {alias.name for alias in node.names}:
                     callers.add(path.name)
     assert callers == {"forked.py"}
+
+
+def test_forked_is_the_only_module_importing_pickle():
+    # a second wire format would pickle for itself
+    importers = set()
+    for path in Path(regarch.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("pickle", "_pickle") for name in names):
+                importers.add(path.name)
+    assert importers == {"forked.py"}

@@ -15,6 +15,7 @@ from scipy.stats import multivariate_t
 from regarch import mcmc
 from regarch.data import ReturnSeries, write_json
 from regarch.exceptions import (
+    AdaptationFailureError,
     DomainError,
     InsufficientDataError,
     InsufficientHistoryError,
@@ -27,6 +28,7 @@ from regarch.mcmc import (
     MODEL_RATIONAL,
     AcfDiagnostics,
     ChainConfig,
+    ChainDraws,
     Prior,
     StudentTProposal,
     acf,
@@ -43,6 +45,7 @@ from regarch.mcmc import (
     _start_point,
     run_chain,
     run_chains,
+    summarize,
 )
 from regarch.simulate import simulate_garch
 from reference import log_posterior, nelder_mead, prior_log_density
@@ -302,6 +305,17 @@ class TestIntegratedAutocorrTime:
         with pytest.raises(InsufficientDataError):
             integrated_autocorr_time(np.array([1.0]))
 
+    def test_window_rule_unmet_warns(self, caplog):
+        # a ramp longer than the largest lag stays correlated out to it
+        ramp = np.arange(mcmc._TAU_MAX_LAG * 2.0)
+        with caplog.at_level("WARNING", logger="regarch.mcmc"):
+            diag = integrated_autocorr_time(ramp)
+        assert diag.window == mcmc._TAU_MAX_LAG
+        assert caplog.messages == [
+            f"window rule unsatisfied out to lag {mcmc._TAU_MAX_LAG}; "
+            "tau estimate is a floor"
+        ]
+
 
 class TestFormatUncertainty:
     @pytest.mark.parametrize(
@@ -428,6 +442,20 @@ class TestRunChain:
         _, returns = _synthetic_returns(n=20)
         with pytest.raises(InsufficientDataError):
             run_chain(MODEL_NORMAL, returns, _SMOKE_CONFIG)
+
+    def test_flat_prices_refused_without_a_warning(self):
+        returns = _returns(np.zeros(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="initial variance must be positive, got 0.0"):
+                run_chain(MODEL_NORMAL, returns, _SMOKE_CONFIG)
+
+    def test_no_accepts_is_an_adaptation_failure(self, monkeypatch):
+        _, returns = _synthetic_returns(n=200)
+        monkeypatch.setattr(mcmc, "mh_step", lambda current, candidate, u: False)
+        config = ChainConfig(burn_in=600, samples=800, seed=11)
+        with pytest.raises(AdaptationFailureError, match="acceptance rate 0.00% after"):
+            run_chain(MODEL_NORMAL, returns, config)
 
     @pytest.mark.parametrize("run", [run_chain, run_chains])
     @pytest.mark.parametrize("model, interval", [(MODEL_NORMAL, 4), (MODEL_RATIONAL, 5)])
@@ -602,6 +630,26 @@ class TestBlockScoredChain:
         np.testing.assert_array_equal(chain.samples_log, samples_log)
         np.testing.assert_array_equal(chain.log_posteriors, log_posts)
         np.testing.assert_array_equal(chain.log_likelihoods, log_liks)
+
+
+class TestSummarize:
+    @pytest.mark.parametrize("a, bimodal", [(1.2, True), (2.0, False)])
+    def test_bimodal_posterior_mean_warns(self, caplog, a, bimodal):
+        _, returns = _synthetic_returns(n=200)
+        rng = np.random.default_rng(5)
+        centre = np.log([5e-5, 0.1, 0.8, a])
+        samples_log = centre + 0.01 * rng.standard_normal((400, 4))
+        draws = ChainDraws(
+            MODEL_RATIONAL, samples_log, np.zeros(400), np.zeros(400), 0.5, ChainConfig()
+        )
+        with caplog.at_level("WARNING", logger="regarch.mcmc"):
+            chain = summarize(draws, returns)
+        a_mean = chain.mean()[3]
+        expected = [
+            f"posterior mean a={a_mean:.3f} is below sqrt(2); the fitted error "
+            "density is bimodal"
+        ]
+        assert caplog.messages == (expected if bimodal else [])
 
 
 _NM_OPTIONS = {"xatol": 1e-6, "fatol": 1e-8}

@@ -496,11 +496,16 @@ def cmd_rmspe(args):
     header = ["delta_seconds", "hl_factor", *(scaled or ["rmspe_oracle"])]
 
     rows = []
+    return_days = set(returns.dates)
     for adjusted in hl_adjusted_rv(ticks, calendar, args.delta_list, returns):
-        # with no fits, each period's c-adjusted RV forecasts itself (rmspe refuses a zero)
-        forecasts = list(scaled.values()) or [
-            replace(adjusted, values=adjusted.c_adjusted(), hl_factor=None)
-        ]
+        forecasts = list(scaled.values())
+        if not forecasts:
+            # each period's c-adjusted RV forecasts itself on the days a fit's
+            # forecast covers, those with a return (rmspe refuses a zero)
+            keep = [i for i, d in enumerate(adjusted.dates) if d in return_days]
+            days = [adjusted.dates[i] for i in keep]
+            values = adjusted.c_adjusted()[keep]
+            forecasts = [replace(adjusted, dates=days, values=values, hl_factor=None)]
         errors = [
             rmspe(f, adjusted, mean_normalized=not args.paper_literal_rmspe)
             for f in forecasts

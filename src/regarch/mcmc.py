@@ -512,10 +512,12 @@ def _draw_block(proposal, rng, count):
     z = np.empty((count, proposal.dim))
     w = np.empty(count)
     u = np.empty(count)
+    normal, chisquare, uniform = rng.standard_normal, rng.chisquare, rng.random
+    dof = proposal.dof
     for i in range(count):
-        z[i] = rng.standard_normal(proposal.dim)
-        w[i] = rng.chisquare(proposal.dof)
-        u[i] = rng.random()
+        normal(out=z[i])
+        w[i] = chisquare(dof)
+        u[i] = uniform()
     return proposal.transform(z, w), u
 
 

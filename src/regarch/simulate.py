@@ -185,6 +185,13 @@ def simulate_intraday(spec, days, rng, calendar=None):
     observed tick prices carry i.i.d. noise of variance ``spec.noise.rho2``.
     The reported per-day session variance is the exact integral of the
     piecewise-constant spot variance.
+
+    Day d draws its path from child d of ``rng.spawn(3)[0].spawn(days)``
+    and its noise from child d of ``rng.spawn(3)[1].spawn(days)``.  For a
+    PCG64 ``rng`` seeded from integers those children's states are computed
+    arithmetically, bit for bit the states ``spawn`` gives them, and one
+    generator per stream kind is set to each day's state in turn; any other
+    ``rng`` spawns them.
     """
     if days < 1:
         raise DomainError("days must be at least 1")
@@ -194,8 +201,8 @@ def simulate_intraday(spec, days, rng, calendar=None):
     dates = tuple(table.days.tolist())
 
     day_rng, noise_rng, gap_rng = rng.spawn(3)
-    path_rngs = day_rng.spawn(days)
-    noise_rngs = noise_rng.spawn(days)
+    path_rngs = _spawned(day_rng, days)
+    noise_rngs = _spawned(noise_rng, days)
 
     f = spec.overnight_fraction
     total_var, pinned_returns = _days_total_variance(spec, days, gap_rng)
@@ -253,6 +260,96 @@ def simulate_intraday(spec, days, rng, calendar=None):
         total_variances=total_var,
         true_daily_returns=true_returns,
     )
+
+
+# O'Neill's seed_seq hash as NumPy's SeedSequence runs it, and PCG64's
+# 128-bit LCG multiplier (O'Neill 2014, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number Generation")
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value):
+    """How many 32-bit words SeedSequence makes of the integer ``value``."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _spawned(parent, n):
+    """The streams of ``parent.spawn(n)``, indexed by child.
+
+    Child i's seed sequence assembles the parent's entropy words and the
+    word i, so its pool is the parent's pool with i mixed in by the hash's
+    next ``pool_size`` steps; ``generate_state(4, uint64)`` of that pool
+    seeds its PCG64.  This works out the seed words of all n children at
+    once in ``uint32`` arithmetic.  The parent's spawn count does not
+    advance (NumPy keeps it read-only).  A parent that is not PCG64 over a
+    SeedSequence of integer entropy spawns.
+    """
+    bit_generator = parent.bit_generator
+    seq = bit_generator.seed_seq
+    entropy = seq.entropy if isinstance(seq.entropy, (list, tuple)) else [seq.entropy]
+    if (
+        type(bit_generator) is not np.random.PCG64
+        or type(seq) is not np.random.SeedSequence
+        or not all(isinstance(v, (int, np.integer)) for v in entropy)
+    ):
+        return parent.spawn(n)
+    pool_size = seq.pool_size
+    run_words = sum(_words(v) for v in entropy)
+    key_words = sum(_words(v) for v in seq.spawn_key)
+    if key_words:  # a spawned sequence pads its entropy to the pool size
+        run_words = max(run_words, pool_size)
+    # the parent's pool took one hash step a pool word, one a pair of pool
+    # words, and one a pool word for each entropy word past the pool's size
+    steps = pool_size * max(pool_size, run_words + key_words)
+    hash_const = _INIT_A * pow(_MULT_A, steps, _MASK32 + 1) & _MASK32
+    first = seq.n_children_spawned
+    word = np.arange(first, first + n, dtype=np.uint32)
+    pool = [np.full(n, v, dtype=np.uint32) for v in seq.pool.tolist()]
+    for j in range(pool_size):  # hashmix the child's word into each pool word
+        hashed = word ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        hashed *= np.uint32(hash_const)
+        hashed ^= hashed >> np.uint32(16)
+        mixed = np.uint32(_MIX_L) * pool[j] - np.uint32(_MIX_R) * hashed
+        mixed ^= mixed >> np.uint32(16)
+        pool[j] = mixed
+    hash_const = _INIT_B
+    seeds = np.empty((n, 8), dtype=np.uint32)  # generate_state's 8 words
+    for j in range(8):
+        out = seeds[:, j]
+        np.bitwise_xor(pool[j % pool_size], np.uint32(hash_const), out=out)
+        hash_const = hash_const * _MULT_B & _MASK32
+        out *= np.uint32(hash_const)
+        out ^= out >> np.uint32(16)
+    # little-endian word pairs: PCG64's seed high and low, then its stream
+    return _SpawnedStreams(seeds.astype("<u4").view("<u8").astype(np.uint64))
+
+
+class _SpawnedStreams:
+    """One PCG64 generator set, on indexing child i, to the state
+    ``spawn`` gives child i; draw from it before indexing again."""
+
+    def __init__(self, seeds):
+        self._seeds = seeds  # a row a child: the four 64-bit seed words
+        self._generator = np.random.Generator(np.random.PCG64(0))
+
+    def __getitem__(self, i):
+        high, low, seq_high, seq_low = self._seeds[i].tolist()
+        # PCG64's srandom: an odd increment from the stream, then one LCG
+        # step from zero, the seed added, and one more step
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        state = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128
+        self._generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._generator
 
 
 def _draw_days(layout, width, rows, path_rngs, gap_var):

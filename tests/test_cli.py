@@ -836,31 +836,62 @@ class TestRmspe:
         assert "adapt_interval must be at least 6" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
-    def test_zero_rv_day_exits_2_with_or_without_fits(self, tmp_path, capsys):
-        # one day of ticks at one price: the same input error whether the
-        # forecasts are the fits or the adjusted RV itself
+    @staticmethod
+    def _flat_day_market(tmp_path, day):
+        """A 60-day simulated market whose ticks on ``day`` are all at one
+        price, so that day's RV is zero."""
         market = tmp_path / "market"
         sim = ["simulate", "--days", "60", "--steps-per-day", "78", "--seed", "3"]
         assert cli.main([*sim, "--out-dir", str(market)]) == 0
         ticks = market / "ticks.csv"
         lines = ticks.read_text().splitlines(keepends=True)
-        day = [i for i, line in enumerate(lines) if line.startswith("2006-01-10")]
-        price = lines[day[0]].split(",")[1]
-        for i in day:
+        rows = [i for i, line in enumerate(lines) if line.startswith(day)]
+        price = lines[rows[0]].split(",")[1]
+        for i in rows:
             lines[i] = lines[i].split(",")[0] + "," + price
         ticks.write_text("".join(lines))
+        return market
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_zero_rv_day_exits_2_with_or_without_fits(self, tmp_path, capsys):
+        # one day of ticks at one price: the same input error whether the
+        # forecasts are the fits or the adjusted RV itself
+        market = self._flat_day_market(tmp_path, "2006-01-10")
         capsys.readouterr()
         errors = []
         for flags in (["--rv-as-vols"], _FAST_CHAIN):
             args = [
-                "rmspe", "--data", str(market / "daily.csv"), "--ticks", str(ticks),
+                "rmspe", "--data", str(market / "daily.csv"),
+                "--ticks", str(market / "ticks.csv"),
                 "--delta-list", "900", "--out-dir", str(tmp_path / "out"), *flags,
             ]
             assert cli.main(args) == 2
             errors.append(capsys.readouterr().err.splitlines()[-1])
         assert errors == ["error: adjusted RV is zero on 1 day(s): 2006-01-10"] * 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_zero_rv_first_day_is_dropped_with_or_without_fits(self, tmp_path, caplog):
+        # the first day has no return, so no fit forecasts it: the oracle
+        # leaves it out too, and both score the other days
+        market = self._flat_day_market(tmp_path, "2006-01-02")
+        dropped = []
+        for out, flags in (("oracle", ["--rv-as-vols"]), ("fits", _FAST_CHAIN)):
+            caplog.clear()
+            args = [
+                "rmspe", "--data", str(market / "daily.csv"),
+                "--ticks", str(market / "ticks.csv"),
+                "--delta-list", "900", "--out-dir", str(tmp_path / out), *flags,
+            ]
+            assert cli.main(args) == 0
+            dropped.append({m for m in caplog.messages if "unmatched" in m})
+        # the fits log the last line once a model
+        assert dropped[0] == dropped[1] == {
+            "dropped 1 unmatched day(s) aligning daily returns and realized variance",
+            "dropped 1 unmatched day(s) aligning model variances and RV",
+        }
+        _, _, rows = _read_csv(tmp_path / "oracle" / "rmspe.csv")
+        assert (_column(rows, 2) == 0.0).all()
 
 
 # (arguments, run in the market directory; sha256 of each artifact)

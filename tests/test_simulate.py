@@ -18,7 +18,12 @@ from regarch.data import (
 from regarch.exceptions import DomainError, ValidationError
 from regarch.garch import RATIONAL, GarchParams, volatility_recursion
 from regarch.realized import NoiseModel, hl_factor, rv_from_ticks
-from regarch.simulate import DiffusionSpec, simulate_garch, simulate_intraday
+from regarch.simulate import (
+    DiffusionSpec,
+    _spawned,
+    simulate_garch,
+    simulate_intraday,
+)
 
 _CAL = SessionCalendar.tokyo()
 _GARCH = GarchParams(5e-5, 0.1, 0.8)
@@ -390,10 +395,11 @@ def _law_spec(law, steps, f):
 class TestIntradayMatchesPerDayLoop:
     """``simulate_intraday`` bit for bit against the loop over days and ticks."""
 
-    def _check(self, spec, days, calendar, seed):
-        sim = simulate_intraday(spec, days, np.random.default_rng(seed), calendar)
+    def _check(self, spec, days, calendar, seed, bit_generator=np.random.PCG64):
+        rngs = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+        sim = simulate_intraday(spec, days, rngs[0], calendar)
         dates, times, prices, closes, true_returns, session_var, total_var = (
-            _per_day_loop(spec, days, np.random.default_rng(seed), calendar)
+            _per_day_loop(spec, days, rngs[1], calendar)
         )
         assert sim.dates == dates
         assert sim.daily_prices.dates == dates
@@ -415,3 +421,40 @@ class TestIntradayMatchesPerDayLoop:
     @pytest.mark.parametrize("calendar", [_CAL, _UNEVEN_CAL], ids=["tokyo", "uneven"])
     def test_one_day(self, calendar, law):
         self._check(_law_spec(law, 37, 0.3), 1, calendar, seed=4)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+    def test_other_bit_generators_spawn(self, bit_generator):
+        self._check(_law_spec("garch-re", 37, 0.3), _DAYS, _UNEVEN_CAL, 1, bit_generator)
+
+
+class TestSpawnedStreams:
+    """``_spawned`` sets each child's stream to the state ``spawn`` gives it."""
+
+    @staticmethod
+    def _parent(entropy, key):
+        seq = np.random.SeedSequence(entropy, spawn_key=key)
+        return np.random.Generator(np.random.PCG64(seq))
+
+    @pytest.mark.parametrize("key", [(), (0,), (1,)])
+    @pytest.mark.parametrize(
+        "entropy",
+        [5, 2**40 + 1, 10**30, [1, 2, 3], [2**33, 7], np.array([1, 2], np.uint32)],
+        ids=["1-word", "2-word", "4-word", "list", "list-2-word-int", "array"],
+    )
+    def test_states_equal_spawn(self, entropy, key):
+        # an array entropy is not worked out: it takes spawn's own path
+        n = 1500
+        children = self._parent(entropy, key).spawn(n)
+        streams = _spawned(self._parent(entropy, key), n)
+        for i, child in enumerate(children):
+            assert streams[i].bit_generator.state == child.bit_generator.state
+        last = streams[n - 1].standard_normal(5)
+        assert np.array_equal(last, children[n - 1].standard_normal(5))
+
+    def test_children_after_earlier_spawns(self):
+        parent, reference = self._parent(7, (0,)), self._parent(7, (0,))
+        parent.spawn(2)
+        reference.spawn(2)
+        streams = _spawned(parent, 3)
+        for i, child in enumerate(reference.spawn(3)):
+            assert streams[i].bit_generator.state == child.bit_generator.state

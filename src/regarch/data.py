@@ -405,7 +405,10 @@ class _TradingDays:
         weeks = -(-(count + len(calendar.holidays)) // len(calendar.weekday_sessions))
         first = np.datetime64(start, "D")
         last = first + np.timedelta64(7 * weeks - 1, "D")
-        return cls.build(calendar, first, last, count)
+        table = cls.build(calendar, first, last, count)
+        if table.days[-1] > np.datetime64(date.max):  # no date holds it
+            raise DomainError(f"{count} trading days from {start} run past {date.max}")
+        return table
 
 
 def _trading_days_of(ticks, calendar):

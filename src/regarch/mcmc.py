@@ -71,6 +71,10 @@ _SEARCH_GTOL = 1e-6
 _SEARCH_ITERATIONS = 200
 _LINE_TRIALS = 40
 
+# the largest proposal dof: the t normaliser's lgamma overflows past 5.1e305
+_MAX_DOF = 5e305
+_DOF_RANGE = f"proposal dof must be finite and exceed 2, at most {_MAX_DOF:g}"
+
 # where a chain or its start search runs off
 _RIDGE = (
     "an improper ridge of the posterior (garch-re has one: a -> inf with "
@@ -117,8 +121,8 @@ class StudentTProposal:
     """
 
     def __init__(self, location, scale, dof):
-        if dof <= 2.0 or not math.isfinite(dof):
-            raise DomainError("proposal dof must be finite and exceed 2")
+        if not 2.0 < dof <= _MAX_DOF:  # a NaN fails both
+            raise DomainError(_DOF_RANGE)
         self.location = np.asarray(location, dtype=np.float64)
         self.scale = np.asarray(scale, dtype=np.float64)
         self.dof = float(dof)
@@ -303,8 +307,8 @@ class ChainConfig:
             raise ValidationError("adapt_interval must be positive")
         if self.burn_in < self.adapt_interval:
             raise ValidationError("burn_in must cover at least one adaptation")
-        if not (math.isfinite(self.nu) and self.nu > 2.0):
-            raise ValidationError("proposal dof must be finite and exceed 2")
+        if not 2.0 < self.nu <= _MAX_DOF:  # a NaN fails both
+            raise ValidationError(_DOF_RANGE)
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 

@@ -188,10 +188,10 @@ def simulate_intraday(spec, days, rng, calendar=None):
 
     Day d draws its path from child d of ``rng.spawn(3)[0].spawn(days)``
     and its noise from child d of ``rng.spawn(3)[1].spawn(days)``.  For a
-    PCG64 ``rng`` seeded from integers those children's states are computed
-    arithmetically, bit for bit the states ``spawn`` gives them, and one
-    generator per stream kind is set to each day's state in turn; any other
-    ``rng`` spawns them.
+    PCG64 ``rng`` seeded from integers those children's seed words are
+    worked out here, bit for bit the words ``spawn`` gives them, and each
+    day's PCG64 seeds itself from its words when the day is drawn; any
+    other ``rng`` spawns them.
     """
     if days < 1:
         raise DomainError("days must be at least 1")
@@ -244,7 +244,7 @@ def simulate_intraday(spec, days, rng, calendar=None):
 
     noise = np.empty(path.size)
     for d, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
-        noise_rngs[d].standard_normal(out=noise[start:end])
+        noise_rngs(d).standard_normal(out=noise[start:end])
     noise *= math.sqrt(spec.noise.rho2)
     path += noise
     del noise  # before TickSeries validates the ticks
@@ -262,14 +262,13 @@ def simulate_intraday(spec, days, rng, calendar=None):
     )
 
 
-# O'Neill's seed_seq hash as NumPy's SeedSequence runs it, and PCG64's
-# 128-bit LCG multiplier (O'Neill 2014, "PCG: A Family of Simple Fast
-# Space-Efficient Statistically Good Algorithms for Random Number Generation")
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+# O'Neill's seed_seq hash as NumPy's SeedSequence runs it (O'Neill 2014,
+# "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+# Algorithms for Random Number Generation")
+_MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(value):
@@ -278,15 +277,17 @@ def _words(value):
 
 
 def _spawned(parent, n):
-    """The streams of ``parent.spawn(n)``, indexed by child.
+    """The streams of ``parent.spawn(n)``: a callable that gives child i's
+    generator, built when it is called.
 
     Child i's seed sequence assembles the parent's entropy words and the
     word i, so its pool is the parent's pool with i mixed in by the hash's
     next ``pool_size`` steps; ``generate_state(4, uint64)`` of that pool
-    seeds its PCG64.  This works out the seed words of all n children at
-    once in ``uint32`` arithmetic.  The parent's spawn count does not
-    advance (NumPy keeps it read-only).  A parent that is not PCG64 over a
-    SeedSequence of integer entropy spawns.
+    seeds its PCG64.  This works out those words for all n children at
+    once in ``uint32`` arithmetic, and PCG64 seeds itself from child i's
+    words.  The parent's spawn count does not advance (NumPy keeps it
+    read-only).  A parent that is not PCG64 over a SeedSequence of integer
+    entropy spawns.
     """
     bit_generator = parent.bit_generator
     seq = bit_generator.seed_seq
@@ -296,7 +297,7 @@ def _spawned(parent, n):
         or type(seq) is not np.random.SeedSequence
         or not all(isinstance(v, (int, np.integer)) for v in entropy)
     ):
-        return parent.spawn(n)
+        return parent.spawn(n).__getitem__
     pool_size = seq.pool_size
     run_words = sum(_words(v) for v in entropy)
     key_words = sum(_words(v) for v in seq.spawn_key)
@@ -325,31 +326,21 @@ def _spawned(parent, n):
         hash_const = hash_const * _MULT_B & _MASK32
         out *= np.uint32(hash_const)
         out ^= out >> np.uint32(16)
-    # little-endian word pairs: PCG64's seed high and low, then its stream
-    return _SpawnedStreams(seeds.astype("<u4").view("<u8").astype(np.uint64))
+    # little-endian word pairs, as generate_state(4, uint64) joins them
+    seeds = seeds.astype("<u4").view("<u8").astype(np.uint64)
 
+    # made here: at module level it would import numpy.random with regarch
+    class ChildWords(np.random.bit_generator.ISeedSequence):
+        """Child i's seed sequence: PCG64 asks it for generate_state(4,
+        uint64) and seeds itself from the words."""
 
-class _SpawnedStreams:
-    """One PCG64 generator set, on indexing child i, to the state
-    ``spawn`` gives child i; draw from it before indexing again."""
+        def __init__(self, i):
+            self.i = i
 
-    def __init__(self, seeds):
-        self._seeds = seeds  # a row a child: the four 64-bit seed words
-        self._generator = np.random.Generator(np.random.PCG64(0))
+        def generate_state(self, n_words, dtype=np.uint32):
+            return seeds[self.i]
 
-    def __getitem__(self, i):
-        high, low, seq_high, seq_low = self._seeds[i].tolist()
-        # PCG64's srandom: an odd increment from the stream, then one LCG
-        # step from zero, the seed added, and one more step
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        state = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128
-        self._generator.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._generator
+    return lambda i: np.random.Generator(np.random.PCG64(ChildWords(i)))
 
 
 def _draw_days(layout, width, rows, path_rngs, gap_var):
@@ -361,7 +352,7 @@ def _draw_days(layout, width, rows, path_rngs, gap_var):
     """
     block = np.zeros((rows.size, width))
     for i, d in enumerate(rows.tolist()):
-        stream = path_rngs[d]
+        stream = path_rngs(d)
         if d > 0 and gap_var[d] > 0.0:
             block[i, 0] = math.sqrt(gap_var[d]) * stream.standard_normal()
         for col, _dt, m in layout:

@@ -394,6 +394,17 @@ class TestSimulate:
         assert cli.main(args + ["--out-dir", str(tmp_path / "out")]) == 2
         assert "no trading weekday" in capsys.readouterr().err
 
+    def test_days_past_9999_exit_2(self, tmp_path, capsys):
+        args = ["simulate", "--start-date", "9999-12-27", "--steps-per-day", "5"]
+        out = tmp_path / "out"
+        assert cli.main(args + ["--days", "6", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 6 trading days from 9999-12-27 run past 9999-12-31\n"
+        )
+        assert not out.exists()
+        assert cli.main(args + ["--days", "5", "--out-dir", str(out)]) == 0
+        assert "to 9999-12-31" in capsys.readouterr().out
+
     @pytest.mark.parametrize("case", sorted(_SIMULATE_GOLDEN))
     def test_golden_artifacts(self, case, tmp_path, capsys):
         # the same seed writes the same bytes, release after release; the
@@ -470,6 +481,7 @@ class TestFit:
             # refused before the start search, which would warn on them
             (["--nu", "nan"], "proposal dof must be finite and exceed 2"),
             (["--nu", "inf"], "proposal dof must be finite and exceed 2"),
+            (["--nu", "1e306"], "exceed 2, at most 5e+305"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -481,6 +493,14 @@ class TestFit:
         assert cli.main(args) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_large_nu_fits(self, market, tmp_path, capsys):
+        args = [
+            "fit", "--model", "garch-n", "--data", str(market / "daily.csv"),
+            "--nu", "1e200", "--out-dir", str(tmp_path),
+        ] + _FAST_CHAIN
+        assert cli.main(args) == 0
+        assert "error:" not in capsys.readouterr().err
 
     def test_improper_ridge_exits_1(self, tmp_path, capsys):
         args = [
@@ -1277,13 +1297,15 @@ class TestDrawStage:
 
 
 class TestImports:
-    def test_cli_import_loads_no_scipy(self):
-        # every command process pays for what importing the CLI loads; the
-        # runtime needs only NumPy
+    # every command process pays for what importing the CLI loads
+
+    @staticmethod
+    def _loaded(package):
+        """The modules of ``package`` that importing the CLI loads."""
         src = os.path.dirname(os.path.dirname(regarch.__file__))
         probe = (
             "import sys, regarch.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+            f"print([m for m in sys.modules if (m + '.').startswith('{package}.')])"
         )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
@@ -1293,4 +1315,13 @@ class TestImports:
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        # the runtime needs only NumPy
+        assert self._loaded("scipy") == "[]"
+
+    def test_cli_import_loads_no_numpy_random(self):
+        # rv draws nothing: loaded with the package, numpy.random added
+        # about 9 ms to every command's start-up and 1.8 MB to rv's peak RSS
+        assert self._loaded("numpy.random") == "[]"

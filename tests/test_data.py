@@ -299,6 +299,16 @@ class TestCalendar:
         with pytest.raises(DomainError, match="non-negative"):
             SessionCalendar.tokyo().trading_days(date(2006, 1, 2), -1)
 
+    def test_trading_days_end_at_the_last_date(self):
+        # 9999-12-27 is a Monday: its fifth trading day is Friday
+        # 9999-12-31, and a sixth would fall in the year 10000
+        cal = SessionCalendar.tokyo()
+        days = cal.trading_days(date(9999, 12, 27), 5)
+        assert days[-1] == date(9999, 12, 31)
+        assert all(type(d) is date for d in days)
+        with pytest.raises(DomainError, match="run past 9999-12-31"):
+            cal.trading_days(date(9999, 12, 27), 6)
+
 
 def _make_ticks(rows):
     times = np.array([np.datetime64(t, "us") for t, _ in rows])

@@ -160,6 +160,13 @@ class TestStudentTProposal:
         with pytest.raises(DomainError):
             StudentTProposal(np.zeros(1), np.eye(1), 2.0)
 
+    def test_dof_too_large_for_the_normaliser(self):
+        # lgamma((dof + d) / 2) overflows from about 5.12e305
+        with pytest.raises(DomainError, match="at most 5e\\+305"):
+            StudentTProposal(np.zeros(4), np.eye(4), 1e306)
+        proposal = StudentTProposal(np.zeros(4), np.eye(4), 5e305)
+        assert math.isfinite(proposal.log_density(np.ones(4)))
+
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             StudentTProposal(np.zeros(2), np.eye(3), 5.0)
@@ -359,6 +366,7 @@ class TestChainConfig:
             {"nu": math.inf},
             {"nu": math.nan},
             {"seed": -1},
+            {"nu": 1e306},  # the proposal's normaliser would overflow
         ],
     )
     def test_validation(self, kwargs):

@@ -428,7 +428,7 @@ class TestIntradayMatchesPerDayLoop:
 
 
 class TestSpawnedStreams:
-    """``_spawned`` sets each child's stream to the state ``spawn`` gives it."""
+    """``_spawned`` gives each child the stream ``spawn`` gives it."""
 
     @staticmethod
     def _parent(entropy, key):
@@ -447,8 +447,8 @@ class TestSpawnedStreams:
         children = self._parent(entropy, key).spawn(n)
         streams = _spawned(self._parent(entropy, key), n)
         for i, child in enumerate(children):
-            assert streams[i].bit_generator.state == child.bit_generator.state
-        last = streams[n - 1].standard_normal(5)
+            assert streams(i).bit_generator.state == child.bit_generator.state
+        last = streams(n - 1).standard_normal(5)
         assert np.array_equal(last, children[n - 1].standard_normal(5))
 
     def test_children_after_earlier_spawns(self):
@@ -457,4 +457,15 @@ class TestSpawnedStreams:
         reference.spawn(2)
         streams = _spawned(parent, 3)
         for i, child in enumerate(reference.spawn(3)):
-            assert streams[i].bit_generator.state == child.bit_generator.state
+            assert streams(i).bit_generator.state == child.bit_generator.state
+
+    def test_days_draw_independently(self):
+        # each day's generator is its own: drawing from one day's stream
+        # leaves another day's where it was
+        children = self._parent(5, (0,)).spawn(2)
+        streams = _spawned(self._parent(5, (0,)), 2)
+        day0, day1 = streams(0), streams(1)
+        got = [g.standard_normal(4) for g in (day0, day1, day0)]
+        want = [g.standard_normal(4) for g in (children[0], children[1], children[0])]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -143,15 +143,23 @@ def _align(dates_a, dates_b, what):
 
 def hl_factor(daily_returns, rv):
     """c = sum (R_t - Rbar)^2 / sum RV_t over the common days."""
-    _, idx_r, idx_v = _align(
+    common, idx_r, idx_v = _align(
         daily_returns.dates, rv.dates, "daily returns and realized variance"
     )
+    if len(common) < 2:
+        raise InsufficientDataError(
+            f"HL factor needs at least 2 days with both a daily return and "
+            f"realized variance, got {len(common)}"
+        )
     r = daily_returns.values[idx_r]
     centered = r - r.mean()
     denom = float(rv.values[idx_v].sum())
     if denom <= 0.0:
         raise DomainError("realized variances sum to zero; HL factor undefined")
-    return float(centered @ centered) / denom
+    spread = float(centered @ centered)
+    if spread == 0.0:
+        raise DomainError("daily returns have no spread; HL factor undefined")
+    return spread / denom
 
 
 def hl_adjusted_rv(ticks, calendar, deltas, daily_returns):

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, artifacts, and byte determinism."""
 
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -705,6 +706,25 @@ class TestRv:
     def test_missing_ticks(self, capsys):
         assert cli.main(["rv", "--ticks", "/nope/ticks.csv"]) == 2
 
+    @pytest.mark.parametrize("days, code", [(2, 2), (5, 0)])
+    def test_short_market(self, tmp_path, capsys, days, code):
+        # two days give one daily return, too few for an HL factor
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--days", str(days), "--out-dir", str(sim)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rv"
+        args = ["rv", "--ticks", str(sim / "ticks.csv"), "--out-dir", str(out)]
+        assert cli.main(args) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.endswith(
+                "error: HL factor needs at least 2 days with both a daily return "
+                "and realized variance, got 1\n"
+            )
+            assert not out.exists()
+        else:
+            assert len(list(out.iterdir())) == 8
+
     def test_period_beyond_int64_exits_0(self, market, tmp_path):
         # 1e13 s is past int64 in microseconds; like 1e12 s it samples each
         # session at its open and close
@@ -1294,6 +1314,119 @@ class TestDrawStage:
         assert again.summaries == chain.summaries
         assert again.lnl_at_mean == chain.lnl_at_mean
         assert again.summary_dict() == chain.summary_dict()
+
+
+def _cli_process(args, stdout, unbuffered=False, prelude=""):
+    """Run ``regarch args`` in a fresh interpreter with ``stdout`` (a pipe,
+    or a descriptor) after the Python lines ``prelude``; return the finished
+    process, stderr as text."""
+    src = os.path.dirname(os.path.dirname(regarch.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = prelude + "import sys\nfrom regarch.cli import main\n"
+    return subprocess.run(
+        [sys.executable, "-c", code + "sys.exit(main(sys.argv[1:]))\n", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=120,
+    )
+
+
+def _artifacts(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+# every MH step is refused: the fit exits 1 after its burn-in
+_REFUSE = "from unittest import mock\nfrom regarch import mcmc\n"
+_REFUSE += "mock.patch.object(mcmc, 'mh_step', return_value=False).start()\n"
+
+
+class TestExitPath:
+    """``main`` flushes stdout and freezes the collector's objects on every
+    way out; neither may change a byte of what a command writes."""
+
+    @staticmethod
+    def _argv(market, missing, code):
+        """A command that exits ``code``: 1 only with ``mh_step`` refusing."""
+        if code == 1:
+            daily = str(market / "daily.csv")
+            return ["fit", "--model", "garch-n", "--data", daily, *_FAST_CHAIN]
+        ticks = market / "ticks.csv" if code == 0 else missing
+        return ["rv", "--ticks", str(ticks), "--delta-list", "300,900"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (None, 0), (None, 1), (None, 2),
+            (["fit", "--no-such-flag"], 2), (["--version"], 0),
+        ],  # fmt: skip
+        ids=["command", "failure", "input", "usage", "version"],
+    )
+    def test_every_return_freezes(self, market, tmp_path, capsys, argv, code):
+        argv = argv or self._argv(market, tmp_path / "none.csv", code)
+        gc.unfreeze()
+        with mock.patch.object(mcmc, "mh_step", return_value=False):
+            assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == code
+        assert gc.get_freeze_count() > 0
+
+    # the garch-re posterior mean here has alpha + beta >= 1
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    def test_compare_again_after_freeze(self, market, tmp_path):
+        # the second compare runs with the first one's objects frozen
+        gc.unfreeze()
+        args = ["compare", "--data", str(market / "daily.csv"), *_FAST_CHAIN]
+        for out in ("a", "b"):
+            assert cli.main([*args, "--out-dir", str(tmp_path / out)]) == 0
+            assert gc.get_freeze_count() > 0
+        assert _artifacts(tmp_path / "a") == _artifacts(tmp_path / "b")
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_exit_codes_through_a_pipe(self, market, tmp_path, capsys, code):
+        args = self._argv(market, tmp_path / "none.csv", code)
+        here, there = tmp_path / "here", tmp_path / "there"
+        with mock.patch.object(mcmc, "mh_step", return_value=False):
+            assert cli.main([*args, "--out-dir", str(here)]) == code
+        expected = capsys.readouterr()
+        run = _cli_process(
+            [*args, "--out-dir", str(there)], subprocess.PIPE, prelude=_REFUSE
+        )
+        assert run.returncode == code
+        assert run.stdout == expected.out.replace(str(here), str(there))
+        if code == 0:
+            assert run.stdout.endswith(f"wrote {there / 'hl.csv'}\n")
+            assert "error:" not in run.stderr
+            assert _artifacts(there) == _artifacts(here)
+        else:
+            assert run.stdout == ""
+            assert run.stderr.splitlines()[-1] == expected.err.rstrip("\n")
+            assert not there.exists()
+
+    @pytest.mark.filterwarnings("ignore:alpha \\+ beta >= 1")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["rv", "rmspe"])
+    def test_closed_stdout_exits_1(self, market, tmp_path, command, unbuffered):
+        # every artifact is written before the first line goes to stdout
+        args = [command, "--ticks", str(market / "ticks.csv"), "--delta-list", "300,900"]
+        if command == "rmspe":
+            args += ["--data", str(market / "daily.csv"), *_FAST_CHAIN]
+        assert cli.main([*args, "--out-dir", str(tmp_path / "normal")]) == 0
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            closed = tmp_path / "closed"
+            run = _cli_process([*args, "--out-dir", str(closed)], write, unbuffered)
+        finally:
+            os.close(write)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert "Exception ignored" not in run.stderr
+        assert run.stderr.endswith("\nerror: standard output: Broken pipe\n")
+        assert run.stderr.count("error:") == 1
+        assert _artifacts(closed) == _artifacts(tmp_path / "normal")
 
 
 class TestImports:

@@ -126,6 +126,21 @@ def test_forked_is_the_only_fork_site():
     assert callers == {"forked.py"}
 
 
+def test_cli_is_the_only_freeze_site():
+    # a frozen cycle waits for the process to end, so only the entry point
+    # that ends it, cli.main, freezes
+    sites = []
+    for path in sorted(Path(regarch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "freeze":
+                if isinstance(node.value, ast.Name) and node.value.id == "gc":
+                    sites.append(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                if "freeze" in {alias.name for alias in node.names}:
+                    sites.append(path.name)
+    assert sites == ["cli.py"]
+
+
 def test_forked_is_the_only_module_importing_pickle():
     # a second wire format would pickle for itself
     importers = set()

@@ -198,6 +198,19 @@ class TestHlFactor:
         with pytest.raises(DomainError, match="HL factor undefined"):
             hl_factor(ret, rv)
 
+    def test_one_common_day(self):
+        # one demeaned return is 0: c would be 0, which RvSeries refuses
+        ret = ReturnSeries(_dates(1), [0.01])
+        rv = RvSeries(_dates(1), [1e-4], 60.0)
+        with pytest.raises(InsufficientDataError, match="at least 2 days .* got 1"):
+            hl_factor(ret, rv)
+
+    def test_returns_without_spread(self):
+        ret = ReturnSeries(_dates(3), [0.01, 0.01, 0.01])
+        rv = RvSeries(_dates(3), [1e-4, 2e-4, 3e-4], 60.0)
+        with pytest.raises(DomainError, match="no spread"):
+            hl_factor(ret, rv)
+
 
 class TestScaleToDailyVariance:
     def _fixture(self):
